@@ -1,6 +1,7 @@
 #include "core/reference.hpp"
 
 #include "common/error.hpp"
+#include "numerics/curves.hpp"
 
 namespace tc::core {
 
@@ -31,28 +32,7 @@ FloatMatrix gemm_ref_f32(const HalfMatrix& a, const HalfMatrix& bt) {
 }
 
 HalfMatrix gemm_ref_tc(const HalfMatrix& a, const HalfMatrix& bt) {
-  check_shapes(a, bt);
-  const std::size_t m = a.rows();
-  const std::size_t n = bt.rows();
-  const std::size_t k = a.cols();
-  HalfMatrix c(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      half acc(0.0f);
-      for (std::size_t l0 = 0; l0 < k; l0 += 8) {
-        // One HMMA.1688.F16 k-chunk: FP32 dot of <= 8 products + FP16
-        // accumulator, rounded once to FP16.
-        float chunk = acc.to_float();
-        const std::size_t l1 = std::min(l0 + 8, k);
-        for (std::size_t l = l0; l < l1; ++l) {
-          chunk += a.at(i, l).to_float() * bt.at(j, l).to_float();
-        }
-        acc = half(chunk);
-      }
-      c.at(i, j) = acc;
-    }
-  }
-  return c;
+  return numerics::gemm_idealized_f16(a, bt);
 }
 
 HalfMatrix gemm_ref_tc_axpby(const HalfMatrix& a, const HalfMatrix& bt, const HalfMatrix& c0,
@@ -87,10 +67,7 @@ std::size_t mismatch_count(const HalfMatrix& c, const HalfMatrix& ref) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < c.rows(); ++i) {
     for (std::size_t j = 0; j < c.cols(); ++j) {
-      const auto x = c.at(i, j);
-      const auto y = ref.at(i, j);
-      const bool same = (x.is_nan() && y.is_nan()) || x.bits() == y.bits();
-      count += same ? 0 : 1;
+      count += c.at(i, j).bits() != ref.at(i, j).bits() ? 1 : 0;
     }
   }
   return count;

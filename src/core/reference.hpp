@@ -6,11 +6,13 @@
 // Two references:
 //  * gemm_ref_f32   — FP32 accumulation throughout; the "ground truth" the
 //    kernels are compared against with a tolerance.
-//  * gemm_ref_tc    — bit-exact model of the Tensor-Core kernels: k is
-//    consumed in chunks of 8; each chunk's dot product is accumulated in
-//    FP32 and rounded once to FP16, matching HMMA.1688.F16 semantics and
-//    accumulation order. Simulated kernel outputs must equal this reference
-//    bit for bit.
+//  * gemm_ref_tc    — bit-exact model of the Tensor-Core kernels in the
+//    idealized numerics: k is consumed in chunks of 8; each chunk's dot
+//    product is accumulated in FP32 and rounded once to FP16, matching
+//    HMMA.1688.F16 semantics and accumulation order. It is
+//    numerics::gemm_idealized_f16 under its historic name; both run the
+//    same compiled numerics::dot_f16 as the executor, so simulated kernel
+//    outputs equal it bit for bit, NaN payloads included.
 #pragma once
 
 #include "common/matrix.hpp"
@@ -32,7 +34,8 @@ namespace tc::core {
 /// Largest absolute elementwise difference |c - ref|.
 [[nodiscard]] double max_abs_diff(const HalfMatrix& c, const FloatMatrix& ref);
 
-/// Count of elements whose FP16 bit patterns differ (NaN == NaN here).
+/// Count of elements whose raw FP16 bit patterns differ. Strict: two NaNs
+/// with different payloads or signs differ, and so do +0 and -0.
 [[nodiscard]] std::size_t mismatch_count(const HalfMatrix& c, const HalfMatrix& ref);
 
 }  // namespace tc::core

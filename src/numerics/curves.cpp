@@ -21,75 +21,52 @@ double rel_err(double v, double ref) {
   return std::abs(v - ref) / denom;
 }
 
-}  // namespace
-
-HalfMatrix gemm_bitacc_f16(const HalfMatrix& a, const HalfMatrix& bt,
-                           const GenerationModel& model) {
+/// C(i, j) = `step` chained left to right over row i of A and row j of B^T
+/// in k-chunks of `width` (the last one may be shorter), starting from +0.
+template <typename Acc, typename Step>
+HostMatrix<Acc> chain_k(const HalfMatrix& a, const HalfMatrix& bt, std::size_t width,
+                        Step step) {
   check_shapes(a, bt);
   const std::size_t m = a.rows();
   const std::size_t n = bt.rows();
   const std::size_t k = a.cols();
-  const auto step = static_cast<std::size_t>(model.terms_per_step);
-  HalfMatrix c(m, n);
+  HostMatrix<Acc> c(m, n);
   for (std::size_t i = 0; i < m; ++i) {
     const half* arow = a.data() + i * k;  // rows are contiguous (row-major)
     for (std::size_t j = 0; j < n; ++j) {
       const half* brow = bt.data() + j * k;
-      half acc(0.0f);
-      for (std::size_t l = 0; l < k; l += step) {
-        const int width = static_cast<int>(std::min(step, k - l));
-        acc = fdp_step_f16(acc, arow + l, brow + l, width, model);
+      Acc acc(0.0f);
+      for (std::size_t l = 0; l < k; l += width) {
+        acc = step(acc, arow + l, brow + l, static_cast<int>(std::min(width, k - l)));
       }
       c.at(i, j) = acc;
     }
   }
   return c;
+}
+
+}  // namespace
+
+HalfMatrix gemm_bitacc_f16(const HalfMatrix& a, const HalfMatrix& bt,
+                           const GenerationModel& model) {
+  return chain_k<half>(a, bt, static_cast<std::size_t>(model.terms_per_step),
+                       [&](half acc, const half* x, const half* y, int width) {
+                         return fdp_step_f16(acc, x, y, width, model);
+                       });
 }
 
 FloatMatrix gemm_bitacc_f32(const HalfMatrix& a, const HalfMatrix& bt,
                             const GenerationModel& model) {
-  check_shapes(a, bt);
-  const std::size_t m = a.rows();
-  const std::size_t n = bt.rows();
-  const std::size_t k = a.cols();
-  const auto step = static_cast<std::size_t>(model.terms_per_step);
-  FloatMatrix c(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const half* arow = a.data() + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const half* brow = bt.data() + j * k;
-      float acc = 0.0f;
-      for (std::size_t l = 0; l < k; l += step) {
-        const int width = static_cast<int>(std::min(step, k - l));
-        acc = fdp_step_f32(acc, arow + l, brow + l, width, model);
-      }
-      c.at(i, j) = acc;
-    }
-  }
-  return c;
+  return chain_k<float>(a, bt, static_cast<std::size_t>(model.terms_per_step),
+                        [&](float acc, const half* x, const half* y, int width) {
+                          return fdp_step_f32(acc, x, y, width, model);
+                        });
 }
 
 HalfMatrix gemm_idealized_f16(const HalfMatrix& a, const HalfMatrix& bt) {
-  check_shapes(a, bt);
-  const std::size_t m = a.rows();
-  const std::size_t n = bt.rows();
-  const std::size_t k = a.cols();
-  HalfMatrix c(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      half acc(0.0f);
-      for (std::size_t l0 = 0; l0 < k; l0 += 8) {
-        float chunk = acc.to_float();
-        const std::size_t l1 = std::min(l0 + 8, k);
-        for (std::size_t l = l0; l < l1; ++l) {
-          chunk += a.at(i, l).to_float() * bt.at(j, l).to_float();
-        }
-        acc = half(chunk);
-      }
-      c.at(i, j) = acc;
-    }
-  }
-  return c;
+  return chain_k<half>(a, bt, 8, [](half acc, const half* x, const half* y, int width) {
+    return dot_f16(NumericsMode::kIdealized, acc, x, y, width);
+  });
 }
 
 std::vector<double> gemm_oracle_f64(const HalfMatrix& a, const HalfMatrix& bt) {

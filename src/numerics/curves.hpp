@@ -35,9 +35,10 @@ namespace tc::numerics {
 [[nodiscard]] FloatMatrix gemm_bitacc_f32(const HalfMatrix& a, const HalfMatrix& bt,
                                           const GenerationModel& model = GenerationModel{});
 
-/// The executor's historic idealized semantics (one FP32 dot per 8-chunk,
-/// rounded once to FP16) — a local copy of core::gemm_ref_tc so this
-/// library stays below tc_core; asserted bit-identical to it in tests.
+/// The idealized semantics: a chain of dot_f16(kIdealized) over k-chunks of
+/// 8 (one FP32 dot per chunk, rounded once to FP16; the last chunk may be
+/// shorter). The one matrix-level idealized loop: core::gemm_ref_tc is this
+/// function, and it lives here so error_curves() can use it below tc_core.
 [[nodiscard]] HalfMatrix gemm_idealized_f16(const HalfMatrix& a, const HalfMatrix& bt);
 
 /// Double-precision oracle (exact products, double accumulation).

@@ -369,26 +369,38 @@ half fdp_step_f16(half c, const half* a, const half* b, int n, const GenerationM
   return half::from_bits(round_f16_bits(acc.magnitude(), acc.negative(), model));
 }
 
-float hmma_dot8_f32(float c, const half* a, const half* b, const GenerationModel& model) {
-  TC_ASSERT(model.terms_per_step >= 1 && model.terms_per_step <= 8,
-            "terms_per_step out of range");
-  float acc = c;
-  for (int kk = 0; kk < 8; kk += model.terms_per_step) {
-    const int n = std::min(model.terms_per_step, 8 - kk);
-    acc = fdp_step_f32(acc, a + kk, b + kk, n, model);
-  }
-  return acc;
+namespace {
+
+/// The idealized chunk sum, in exactly one compiled copy. x86 returns one
+/// operand's payload from a NaN-in, NaN-out add or multiply, chosen by
+/// operand order in the emitted code, so two separately inlined copies of
+/// this loop may legally disagree on NaN inputs (docs/jit.md, "The x86 NaN
+/// trap").
+[[gnu::noinline]] float idealized_sum(float c, const half* a, const half* b, int n) {
+  for (int i = 0; i < n; ++i) c += a[i].to_float() * b[i].to_float();
+  return c;
 }
 
-half hmma_dot8_f16(half c, const half* a, const half* b, const GenerationModel& model) {
-  TC_ASSERT(model.terms_per_step >= 1 && model.terms_per_step <= 8,
-            "terms_per_step out of range");
-  half acc = c;
-  for (int kk = 0; kk < 8; kk += model.terms_per_step) {
-    const int n = std::min(model.terms_per_step, 8 - kk);
-    acc = fdp_step_f16(acc, a + kk, b + kk, n, model);
+}  // namespace
+
+float dot_f32(NumericsMode mode, float c, const half* a, const half* b, int n) {
+  TC_ASSERT(n >= 0 && n <= 8, "dot width out of range");
+  if (mode == NumericsMode::kIdealized) return idealized_sum(c, a, b, n);
+  const GenerationModel model = turing_model();
+  for (int kk = 0; kk < n; kk += model.terms_per_step) {
+    c = fdp_step_f32(c, a + kk, b + kk, std::min(model.terms_per_step, n - kk), model);
   }
-  return acc;
+  return c;
+}
+
+half dot_f16(NumericsMode mode, half c, const half* a, const half* b, int n) {
+  TC_ASSERT(n >= 0 && n <= 8, "dot width out of range");
+  if (mode == NumericsMode::kIdealized) return half(idealized_sum(c.to_float(), a, b, n));
+  const GenerationModel model = turing_model();
+  for (int kk = 0; kk < n; kk += model.terms_per_step) {
+    c = fdp_step_f16(c, a + kk, b + kk, std::min(model.terms_per_step, n - kk), model);
+  }
+  return c;
 }
 
 }  // namespace tc::numerics

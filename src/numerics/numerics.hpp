@@ -1,9 +1,12 @@
-// Bit-accurate HMMA dot-product numerics (ROADMAP: numerics oracle).
+// HMMA dot-product numerics (ROADMAP: numerics oracle).
 //
-// The functional executor's default HMMA semantics are idealized: one FP32
-// dot product of the eight FP16 products, rounded once to the accumulator
-// type (`sim/mma_exec.hpp`). Two related-work papers pin down what the
-// hardware unit actually does (see docs/numerics.md for the mapping):
+// `dot_f16` / `dot_f32` are the one compiled HMMA k-chunk for both
+// numerics modes; every HMMA-semantics caller goes through them
+// (docs/numerics.md, "One primitive per semantics"). NumericsMode::kIdealized
+// is the historic semantics: one FP32 dot product of the chunk's FP16
+// products plus the accumulator, rounded once to the accumulator type.
+// NumericsMode::kBitAccurate is what the hardware unit actually does, as two
+// related-work papers pin it down (see docs/numerics.md for the mapping):
 //
 //  * "An SMT Formalization of Mixed-Precision Matrix Multiplication"
 //    formalizes the per-generation step semantics: a fused dot product of a
@@ -14,9 +17,9 @@
 //    round-to-nearest-even at the FP16 output conversion) and full
 //    subnormal support on inputs and outputs.
 //
-// This module implements that model exactly, with no floating-point
-// arithmetic in the accumulation path: every term (the incoming accumulator
-// plus `terms_per_step` exact FP16 products) is converted to a shared
+// The bit-accurate step has no floating-point arithmetic in the
+// accumulation path: every term (the incoming accumulator plus
+// `terms_per_step` exact FP16 products) is converted to a shared
 // fixed-point scale of 2^-149 and summed in a 320-bit two's-complement
 // accumulator, which represents the 5-term left-to-right fused sum exactly
 // — so the single final rounding is correct by construction. HMMA.1688
@@ -24,7 +27,7 @@
 // place the model rounds mid-instruction, which is what makes chunk-order
 // sensitivity and double rounding observable (tests/test_numerics.cpp).
 //
-// Everything here is deterministic and host-FPU-independent.
+// The bit-accurate engine is deterministic and host-FPU-independent.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +89,16 @@ struct GenerationModel {
 [[nodiscard]] half fdp_step_f16(half c, const half* a, const half* b, int n,
                                 const GenerationModel& model = GenerationModel{});
 
-/// One HMMA element with k = 8: sequential fused steps of
-/// `model.terms_per_step` products each, left to right — the accumulator
-/// rounds at every step boundary.
-[[nodiscard]] float hmma_dot8_f32(float c, const half* a, const half* b,
-                                  const GenerationModel& model = GenerationModel{});
-[[nodiscard]] half hmma_dot8_f16(half c, const half* a, const half* b,
-                                 const GenerationModel& model = GenerationModel{});
+/// One HMMA k-chunk: the accumulator c plus the n <= 8 products
+/// a[i] * b[i], in the given semantics.
+///  * kIdealized: c and the products summed left to right in FP32, then
+///    rounded once to the accumulator type.
+///  * kBitAccurate: a left-to-right chain of Turing-model fused steps of
+///    4 products each (fdp_step_*), rounding at every step boundary.
+/// Compiled once, never inlined into callers (see the header comment).
+[[nodiscard]] float dot_f32(NumericsMode mode, float c, const half* a, const half* b,
+                            int n = 8);
+[[nodiscard]] half dot_f16(NumericsMode mode, half c, const half* a, const half* b,
+                           int n = 8);
 
 }  // namespace tc::numerics

@@ -254,13 +254,7 @@ void gemm_op_ref(const GemmOp& gemm, const OpInputs& in, std::span<half> out,
               av[t] = l < k ? in.a[b * sa + i * k + l] : half(0.0f);
               bv[t] = l < k ? in.bt[b * sb + j * k + l] : half(0.0f);
             }
-            if (mode == numerics::NumericsMode::kIdealized) {
-              float chunk = part.to_float();
-              for (std::size_t t = 0; t < 8; ++t) chunk += av[t].to_float() * bv[t].to_float();
-              part = half(chunk);
-            } else {
-              part = numerics::hmma_dot8_f16(part, av, bv);
-            }
+            part = numerics::dot_f16(mode, part, av, bv);
           }
           acc = s == 0 ? part : acc + part;  // HADD2 fold
         }

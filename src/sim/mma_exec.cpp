@@ -1,6 +1,6 @@
 #include "sim/mma_exec.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "common/error.hpp"
 #include "sim/exec_core.hpp"
@@ -67,111 +67,51 @@ void emit_words(WriteSink& sink, sass::Reg r, const std::array<std::uint32_t, kW
   }
 }
 
-/// One output element's k = 8 half operands, gathered contiguously for the
-/// bit-accurate engine.
-struct DotOperands {
-  half a[8];
-  half b[8];
-};
+// Every HMMA form gathers its operands once with k contiguous: A tiles are
+// row-major (row i = A's row i), and B, a column-major tile, read back as
+// row-major has B's column j as its row j. Each output element is then one
+// numerics::dot_* call on two 8-element rows.
 
-DotOperands gather_dot(const Tile8x8& at, const Tile8x8& bt, int i, int j) {
-  DotOperands ops;
-  for (int kk = 0; kk < 8; ++kk) {
-    ops.a[kk] = at.m[i][kk];
-    ops.b[kk] = bt.m[kk][j];
-  }
-  return ops;
-}
-
-/// One k = 8 FP16-accumulate element in the selected semantics.
-half dot8_f16(const Tile8x8& at, const Tile8x8& bt, int i, int j, half c,
-              numerics::NumericsMode mode) {
-  if (mode == numerics::NumericsMode::kBitAccurate) {
-    const DotOperands ops = gather_dot(at, bt, i, j);
-    return numerics::hmma_dot8_f16(c, ops.a, ops.b);
-  }
-  float acc = c.to_float();
-  for (int kk = 0; kk < 8; ++kk) acc += at.m[i][kk].to_float() * bt.m[kk][j].to_float();
-  return half(acc);
-}
-
-// D(16x8) = A(16x8) * B(8x8) + C, FP16 accumulators.
-void exec_hmma_1688_f16(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg b,
-                        sass::Reg c, WriteSink& sink, numerics::NumericsMode mode) {
-  const Tile8x8 a_lo = gather_row_major(regs, a);
-  const Tile8x8 a_hi = gather_row_major(regs, offset(a, 1));
-  const Tile8x8 bt = gather_col_major(regs, b);
-  const Tile8x8 c_lo = c.is_rz() ? Tile8x8{} : gather_row_major(regs, c);
-  const Tile8x8 c_hi = c.is_rz() ? Tile8x8{} : gather_row_major(regs, offset(c, 1));
-
-  for (int group = 0; group < 2; ++group) {
-    const Tile8x8& at = group == 0 ? a_lo : a_hi;
-    const Tile8x8& ct = group == 0 ? c_lo : c_hi;
-    Tile8x8 dt;
+// FP16 accumulators. HMMA.1688 is D(16x8) = A(16x8) * B(8x8) + C on register
+// pairs (low register = rows 0..7): two groups. The Volta-compatibility
+// HMMA.884 is D(8x8) = A(8x8) * B(8x8) + C on single registers: one group.
+void exec_hmma_f16(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg b, sass::Reg c,
+                   WriteSink& sink, numerics::NumericsMode mode, int groups) {
+  const Tile8x8 b_cols = gather_row_major(regs, b);
+  Tile8x8 dt[2];
+  for (int g = 0; g < groups; ++g) {
+    const Tile8x8 at = gather_row_major(regs, offset(a, g));
+    const Tile8x8 ct = c.is_rz() ? Tile8x8{} : gather_row_major(regs, offset(c, g));
     for (int i = 0; i < 8; ++i) {
       for (int j = 0; j < 8; ++j) {
-        dt.m[i][j] = dot8_f16(at, bt, i, j, ct.m[i][j], mode);
+        dt[g].m[i][j] = numerics::dot_f16(mode, ct.m[i][j], at.m[i], b_cols.m[j]);
       }
     }
-    emit_words(sink, offset(d, group), pack_row_major(dt));
   }
+  // Emit only after every operand is read: D may alias A or C.
+  for (int g = 0; g < groups; ++g) emit_words(sink, offset(d, g), pack_row_major(dt[g]));
 }
 
-// FP32 accumulator layout: reg 2g+p of lane l holds element
+// HMMA.1688 with FP32 accumulators: reg 2g+p of lane l holds element
 // (l/4 + 8g, (l%4)*2 + p) of the 16x8 FP32 accumulator.
-float read_f32_acc(const WarpRegs& regs, sass::Reg base, int i, int j) {
-  const int g = i / 8;
-  const int p = j % 2;
-  const int lane = (i % 8) * 4 + j / 2;
-  const std::uint32_t bits = regs.read(offset(base, 2 * g + p), lane);
-  float f;
-  std::memcpy(&f, &bits, 4);
-  return f;
-}
-
 void exec_hmma_1688_f32(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg b,
                         sass::Reg c, WriteSink& sink, numerics::NumericsMode mode) {
-  const Tile8x8 a_lo = gather_row_major(regs, a);
-  const Tile8x8 a_hi = gather_row_major(regs, offset(a, 1));
-  const Tile8x8 bt = gather_col_major(regs, b);
-
+  const Tile8x8 b_cols = gather_row_major(regs, b);
   std::array<std::array<std::uint32_t, kWarpSize>, 4> out{};
-  for (int i = 0; i < 16; ++i) {
-    const Tile8x8& at = i < 8 ? a_lo : a_hi;
-    for (int j = 0; j < 8; ++j) {
-      float acc = c.is_rz() ? 0.0f : read_f32_acc(regs, c, i, j);
-      if (mode == numerics::NumericsMode::kBitAccurate) {
-        const DotOperands ops = gather_dot(at, bt, i % 8, j);
-        acc = numerics::hmma_dot8_f32(acc, ops.a, ops.b);
-      } else {
-        for (int kk = 0; kk < 8; ++kk) {
-          acc += at.m[i % 8][kk].to_float() * bt.m[kk][j].to_float();
-        }
+  for (int g = 0; g < 2; ++g) {
+    const Tile8x8 at = gather_row_major(regs, offset(a, g));
+    for (int i = 0; i < 8; ++i) {
+      for (int j = 0; j < 8; ++j) {
+        const int reg = 2 * g + j % 2;
+        const int lane = i * 4 + j / 2;
+        const float acc =
+            c.is_rz() ? 0.0f : std::bit_cast<float>(regs.read(offset(c, reg), lane));
+        out[static_cast<std::size_t>(reg)][static_cast<std::size_t>(lane)] =
+            std::bit_cast<std::uint32_t>(numerics::dot_f32(mode, acc, at.m[i], b_cols.m[j]));
       }
-      const int g = i / 8;
-      const int p = j % 2;
-      const int lane = (i % 8) * 4 + j / 2;
-      std::uint32_t bits;
-      std::memcpy(&bits, &acc, 4);
-      out[static_cast<std::size_t>(2 * g + p)][static_cast<std::size_t>(lane)] = bits;
     }
   }
   for (int r = 0; r < 4; ++r) emit_words(sink, offset(d, r), out[static_cast<std::size_t>(r)]);
-}
-
-// Volta-compatibility form: D(8x8) = A(8x8) * B(8x8) + C on single registers.
-void exec_hmma_884_f16(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg b,
-                       sass::Reg c, WriteSink& sink, numerics::NumericsMode mode) {
-  const Tile8x8 at = gather_row_major(regs, a);
-  const Tile8x8 bt = gather_col_major(regs, b);
-  const Tile8x8 ct = c.is_rz() ? Tile8x8{} : gather_row_major(regs, c);
-  Tile8x8 dt;
-  for (int i = 0; i < 8; ++i) {
-    for (int j = 0; j < 8; ++j) {
-      dt.m[i][j] = dot8_f16(at, bt, i, j, ct.m[i][j], mode);
-    }
-  }
-  emit_words(sink, d, pack_row_major(dt));
 }
 
 // Integer extension: D(8x8 s32) = A(8x16 s8) * B(16x8 s8) + C.
@@ -236,13 +176,13 @@ void exec_mma(sass::Opcode op, const WarpRegs& regs, sass::Reg d, sass::Reg a, s
               sass::Reg c, WriteSink& sink, numerics::NumericsMode mode) {
   switch (op) {
     case sass::Opcode::kHmma1688F16:
-      exec_hmma_1688_f16(regs, d, a, b, c, sink, mode);
+      exec_hmma_f16(regs, d, a, b, c, sink, mode, 2);
       break;
     case sass::Opcode::kHmma1688F32:
       exec_hmma_1688_f32(regs, d, a, b, c, sink, mode);
       break;
     case sass::Opcode::kHmma884F16:
-      exec_hmma_884_f16(regs, d, a, b, c, sink, mode);
+      exec_hmma_f16(regs, d, a, b, c, sink, mode, 1);
       break;
     case sass::Opcode::kImma8816S8:
       // Integer math is exact: both numerics modes are identical by

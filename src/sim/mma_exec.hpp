@@ -12,14 +12,15 @@
 //    are register pairs of row-major 8x8 tiles (low register = rows 0..7)
 //    and B is a single column-major 8x8 tile (Fig. 2).
 //
-// Numerics (NumericsMode::kIdealized, the default): each output element is
-// an FP32 dot product of the eight FP16 products plus the accumulator,
-// rounded once to the accumulator type. This matches the "higher accuracy
-// than FP16 units" observation [5] and is the reference semantics all
-// recorded tcgemm goldens compare against. NumericsMode::kBitAccurate
-// instead runs the SMT-formalization step model (two 4-term fused steps,
-// RZ/RNE per accumulate type — see numerics/numerics.hpp and
-// docs/numerics.md).
+// Numerics: each output element is one numerics::dot_f16/dot_f32 call, the
+// primitive every HMMA-semantics caller shares. Under
+// NumericsMode::kIdealized (the default) it is an FP32 dot product of the
+// eight FP16 products plus the accumulator, rounded once to the accumulator
+// type. This matches the "higher accuracy than FP16 units" observation [5]
+// and is the reference semantics all recorded tcgemm goldens compare
+// against. NumericsMode::kBitAccurate instead runs the SMT-formalization
+// step model (two 4-term fused steps, RZ/RNE per accumulate type — see
+// numerics/numerics.hpp and docs/numerics.md).
 #pragma once
 
 #include <cstdint>

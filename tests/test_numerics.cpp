@@ -8,14 +8,17 @@
 //     (but not intra-step) order sensitivity, subnormal preservation and
 //     the FTZ knob, NaN canonicalization, RZ overflow saturation, and the
 //     signed-zero rules. Every expected value is derived by hand in the
-//     comment next to it.
+//     comment next to it. The dot_f16/dot_f32 primitive is checked in both
+//     modes against test-local oracles on special operands.
 //  2. Property/metamorphic tests against an MPFR-free long-double oracle:
 //     intra-step permutation invariance, monotonicity, and exactness of
 //     the single rounding on operand ranges where the fused sum fits a
 //     64-bit significand.
 //  3. Golden error-vs-shape curve fixtures plus the end-to-end proof that
 //     the functional executor in NumericsMode::kBitAccurate computes
-//     exactly numerics::gemm_bitacc_f16, independent of kernel config.
+//     exactly numerics::gemm_bitacc_f16, independent of kernel config; FNV
+//     pins of the idealized reference; and bitwise agreement of every
+//     idealized caller on NaN-payload inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,8 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.hpp"
@@ -33,6 +38,9 @@
 #include "driver/device.hpp"
 #include "numerics/curves.hpp"
 #include "numerics/numerics.hpp"
+#include "op/op.hpp"
+#include "sim/engine.hpp"
+#include "support/fnv1a.hpp"
 
 namespace tc::numerics {
 namespace {
@@ -93,7 +101,7 @@ TEST(NumericsVectors, Dot8DoubleRoundsAtTheChunkBoundary) {
                                hb(0x0C00), h(0.0f), h(0.0f), h(0.0f)};
   const std::vector<half> b = {h(1.0f), hb(0x0C00), h(0.0f), h(0.0f),
                                hb(0x0C00), h(0.0f), h(0.0f), h(0.0f)};
-  const float chunked = hmma_dot8_f32(0.0f, a.data(), b.data());
+  const float chunked = dot_f32(NumericsMode::kBitAccurate, 0.0f, a.data(), b.data());
   EXPECT_EQ(f32_bits(chunked), f32_bits(1.0f));
 
   const float one_shot = fdp_step_f32(0.0f, a.data(), b.data(), 8);
@@ -107,7 +115,8 @@ TEST(NumericsVectors, OrderSensitiveAcrossChunksOnly) {
                                   hb(0x0C00), h(0.0f), h(0.0f), h(0.0f)};
   const std::vector<half> b_sw = {hb(0x0C00), h(1.0f), h(0.0f), h(0.0f),
                                   hb(0x0C00), h(0.0f), h(0.0f), h(0.0f)};
-  EXPECT_EQ(f32_bits(hmma_dot8_f32(0.0f, a_sw.data(), b_sw.data())), f32_bits(1.0f));
+  EXPECT_EQ(f32_bits(dot_f32(NumericsMode::kBitAccurate, 0.0f, a_sw.data(), b_sw.data())),
+            f32_bits(1.0f));
 
   // ...but moving the second 2^-24 product across the boundary into chunk
   // one makes the first step RZ(1 + 2^-23) = 0x3F800001 and the result
@@ -117,7 +126,8 @@ TEST(NumericsVectors, OrderSensitiveAcrossChunksOnly) {
                                   h(0.0f), h(0.0f), h(0.0f), h(0.0f)};
   const std::vector<half> b_mv = {h(1.0f), hb(0x0C00), hb(0x0C00), h(0.0f),
                                   h(0.0f), h(0.0f), h(0.0f), h(0.0f)};
-  EXPECT_EQ(f32_bits(hmma_dot8_f32(0.0f, a_mv.data(), b_mv.data())), 0x3F800001u);
+  EXPECT_EQ(f32_bits(dot_f32(NumericsMode::kBitAccurate, 0.0f, a_mv.data(), b_mv.data())),
+            0x3F800001u);
 }
 
 TEST(NumericsVectors, F16SubnormalResultsAreExactUnlessFtz) {
@@ -212,6 +222,97 @@ TEST(NumericsVectors, SignedZeroRules) {
   // Exact cancellation of nonzero terms is +0 under both RZ and RNE.
   EXPECT_EQ(f32_bits(step_f32(-0x1.0p-48f, {hb(0x0001)}, {hb(0x0001)})), 0u);
   EXPECT_EQ(step_f16(h(-2.0f), {h(1.0f)}, {h(2.0f)}).bits(), 0x0000);
+}
+
+// ---------------------------------------------------------------------------
+// 1b. The dot primitive against test-local oracles.
+// ---------------------------------------------------------------------------
+
+/// Signed zeros, infinities, quiet and signaling NaNs of both signs with
+/// payloads, subnormals, and a few ordinary and extreme values.
+constexpr std::uint16_t kSpecialHalves[] = {0x0000, 0x8000, 0x7C00, 0xFC00, 0x7E00, 0xFE5A,
+                                            0x7C01, 0xFD23, 0x0001, 0x83FF, 0x3C00, 0xBC00,
+                                            0x7BFF, 0x3555, 0xC800};
+
+/// A special operand one time in three, otherwise an ordinary value.
+half special_or_plain(Rng& rng) {
+  if (rng.next_below(3) == 0) {
+    return hb(kSpecialHalves[rng.next_below(std::size(kSpecialHalves))]);
+  }
+  return half(rng.next_float(-4.0f, 4.0f));
+}
+
+/// kIdealized oracle: the literal FP32 loop, rounded by the caller.
+float float_loop(float c, const half* a, const half* b, int n) {
+  for (int i = 0; i < n; ++i) c += a[i].to_float() * b[i].to_float();
+  return c;
+}
+
+/// The oracle above is a separately compiled copy, which x86 allows to pick a
+/// different NaN payload (docs/jit.md): NaN results agree as NaNs; all other
+/// results agree bit for bit.
+bool same_f32(float x, float y) {
+  return (std::isnan(x) && std::isnan(y)) || f32_bits(x) == f32_bits(y);
+}
+bool same_f16(half x, half y) { return (x.is_nan() && y.is_nan()) || x.bits() == y.bits(); }
+
+TEST(NumericsDot, IdealizedMatchesFloatLoop) {
+  Rng rng(7101);
+  for (int n = 0; n <= 8; ++n) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      half a[8], b[8];
+      for (int i = 0; i < 8; ++i) {
+        a[i] = special_or_plain(rng);
+        b[i] = special_or_plain(rng);
+      }
+      const half c16 = special_or_plain(rng);
+      const float c32 = special_or_plain(rng).to_float();
+      ASSERT_TRUE(same_f32(dot_f32(NumericsMode::kIdealized, c32, a, b, n),
+                           float_loop(c32, a, b, n)))
+          << "n=" << n << " trial " << trial;
+      ASSERT_TRUE(same_f16(dot_f16(NumericsMode::kIdealized, c16, a, b, n),
+                           half(float_loop(c16.to_float(), a, b, n))))
+          << "n=" << n << " trial " << trial;
+    }
+  }
+  // Signed zeros follow IEEE addition: all-negative-zero terms keep -0.
+  const half nz = hb(0x8000);
+  const half one = h(1.0f);
+  EXPECT_EQ(dot_f16(NumericsMode::kIdealized, nz, &nz, &one, 1).bits(), 0x8000);
+  EXPECT_EQ(dot_f16(NumericsMode::kIdealized, h(0.0f), &nz, &one, 1).bits(), 0x0000);
+}
+
+TEST(NumericsDot, BitAccurateMatchesStepChain) {
+  // kBitAccurate is a chain of 4-wide fused steps; its NaNs are canonical, so
+  // every result, NaN or not, must match the chain bit for bit.
+  Rng rng(7102);
+  for (int n = 0; n <= 8; ++n) {
+    for (int trial = 0; trial < 2000; ++trial) {
+      half a[8], b[8];
+      for (int i = 0; i < 8; ++i) {
+        a[i] = special_or_plain(rng);
+        b[i] = special_or_plain(rng);
+      }
+      half c16 = special_or_plain(rng);
+      float c32 = special_or_plain(rng).to_float();
+      const float got32 = dot_f32(NumericsMode::kBitAccurate, c32, a, b, n);
+      const half got16 = dot_f16(NumericsMode::kBitAccurate, c16, a, b, n);
+      for (int kk = 0; kk < n; kk += 4) {
+        c32 = fdp_step_f32(c32, a + kk, b + kk, std::min(4, n - kk));
+        c16 = fdp_step_f16(c16, a + kk, b + kk, std::min(4, n - kk));
+      }
+      ASSERT_EQ(f32_bits(got32), f32_bits(c32)) << "n=" << n << " trial " << trial;
+      ASSERT_EQ(got16.bits(), c16.bits()) << "n=" << n << " trial " << trial;
+    }
+  }
+}
+
+TEST(NumericsDot, RejectsWidthOutOfRange) {
+  const half a[9] = {};
+  for (const NumericsMode mode : {NumericsMode::kIdealized, NumericsMode::kBitAccurate}) {
+    EXPECT_THROW((void)dot_f16(mode, h(0.0f), a, a, 9), Error);
+    EXPECT_THROW((void)dot_f32(mode, 0.0f, a, a, -1), Error);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -353,22 +454,72 @@ TEST(NumericsProperties, F32StepErrorBelowOneUlp) {
 // 3. Matrix level: idealized copy, golden curves, executor e2e.
 // ---------------------------------------------------------------------------
 
-TEST(NumericsMatrix, IdealizedCopyMatchesCoreReferenceBitwise) {
-  // gemm_idealized_f16 is a dependency-layering copy of core::gemm_ref_tc;
-  // they must agree bitwise, including on a non-multiple-of-8 k tail.
+TEST(NumericsMatrix, IdealizedReferenceMatchesRecordedPins) {
+  // FNV-1a pins of core::gemm_ref_tc recorded while it was still its own
+  // hand-written loop, independent of numerics::dot_f16. k = 129 ends on a
+  // one-product chunk.
   Rng rng(8001);
-  for (const std::size_t k : {8u, 72u, 129u}) {
+  const std::pair<std::size_t, std::uint64_t> pins[] = {
+      {8, 0x601927C4B5BEF123ull}, {72, 0xB64188D1058E2A3Bull}, {129, 0x57BE208D2B055360ull}};
+  for (const auto& [k, pin] : pins) {
     HalfMatrix a(48, k), bt(40, k);
     a.randomize(rng, -2.0f, 2.0f);
     bt.randomize(rng, -2.0f, 2.0f);
-    const HalfMatrix ours = gemm_idealized_f16(a, bt);
-    const HalfMatrix ref = core::gemm_ref_tc(a, bt);
-    ASSERT_EQ(ours.rows(), ref.rows());
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < ours.size(); ++i) {
-      mismatches += ours.data()[i].bits() != ref.data()[i].bits() ? 1 : 0;
-    }
-    EXPECT_EQ(mismatches, 0u) << "k=" << k;
+    EXPECT_EQ(testsupport::fnv1a_bits(core::gemm_ref_tc(a, bt)), pin) << "k=" << k;
+  }
+}
+
+/// 64 x 64 random values with about one element in 128 replaced by a NaN:
+/// quiet or signaling, either sign, random nonzero payload.
+HalfMatrix nan_laden(Rng& rng) {
+  HalfMatrix m(64, 64);
+  m.randomize(rng, -1.0f, 1.0f);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    if (rng.next_below(128) != 0) continue;
+    const auto sign = static_cast<std::uint16_t>(rng.next_below(2) << 15);
+    const auto quiet = static_cast<std::uint16_t>(rng.next_below(2) << 9);
+    const auto payload = static_cast<std::uint16_t>(1 + rng.next_below(0x1FF));
+    m.data()[i] = hb(static_cast<std::uint16_t>(sign | 0x7C00u | quiet | payload));
+  }
+  return m;
+}
+
+TEST(NumericsMatrix, NanPayloadsAgreeAcrossIdealizedCallers) {
+  // x86 picks a NaN result's payload by operand order, so separately inlined
+  // copies of the idealized sum disagreed on NaN inputs. Every caller now
+  // goes through the one compiled dot_f16: the reference, the op-level
+  // reference and both executor engines must agree on every raw bit
+  // pattern, NaN payloads included.
+  Rng rng(8002);
+  const HalfMatrix a = nan_laden(rng);
+  const HalfMatrix bt = nan_laden(rng);
+  const HalfMatrix ref = core::gemm_ref_tc(a, bt);
+  std::size_t nans = 0;
+  for (std::size_t i = 0; i < ref.size(); ++i) nans += ref.data()[i].is_nan() ? 1 : 0;
+  ASSERT_GT(nans, ref.size() / 4);
+  ASSERT_LT(nans, ref.size());
+
+  // Raw bit patterns, compared directly: NaN == NaN is exactly what must
+  // not be forgiven here.
+  const auto differing = [&ref](const half* got) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < ref.size(); ++i) count += got[i].bits() != ref.data()[i].bits();
+    return count;
+  };
+
+  op::GemmOp gemm;
+  gemm.shape = {64, 64, 64};
+  const op::OpInputs in{{a.data(), a.size()}, {bt.data(), bt.size()}, {}, {}};
+  const std::vector<half> op_out =
+      op::gemm_op_ref(gemm, in, core::HgemmConfig::optimized(), NumericsMode::kIdealized);
+  EXPECT_EQ(differing(op_out.data()), 0u) << "gemm_op_ref";
+
+  driver::Device dev(device::rtx2070());
+  for (const sim::ExecEngine engine : {sim::ExecEngine::kInterpret, sim::ExecEngine::kJit}) {
+    core::HgemmConfig cfg = core::HgemmConfig::optimized();
+    cfg.engine = engine;
+    EXPECT_EQ(differing(core::run_hgemm(dev, a, bt, cfg).data()), 0u)
+        << "engine " << static_cast<int>(engine);
   }
 }
 
