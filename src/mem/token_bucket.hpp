@@ -1,20 +1,20 @@
-// Fractional byte-per-cycle bandwidth budget.
+// Fractional byte-per-cycle bandwidth budgets.
 //
 // DRAM and L2 are modeled as sustained-bandwidth pipes: each simulated cycle
 // deposits `rate` bytes of credit (capped at a small burst window), and a
-// memory request must withdraw its bytes before completing. When credit runs
-// dry the request's completion slips — this is how DRAM-boundness emerges in
-// the HGEMM timing runs.
+// memory request withdraws its bytes, letting credit go negative. The debt
+// delays the request's completion by debt/rate cycles — this is how
+// DRAM-boundness emerges in the HGEMM timing runs.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
-#include <mutex>
 
 #include "common/error.hpp"
 
 namespace tc::mem {
 
+/// The budget of one simulated SM, which owns the clock: the SM calls tick()
+/// once per cycle.
 class TokenBucket {
  public:
   /// `bytes_per_cycle` may be fractional; `burst_cycles` bounds how much
@@ -28,30 +28,8 @@ class TokenBucket {
     TC_CHECK(bytes_per_cycle > 0.0, "bandwidth must be positive");
   }
 
-  /// Advances time by `cycles`, accruing credit.
-  void tick(double cycles = 1.0) {
-    credit_ = std::min(cap_, credit_ + rate_ * cycles);
-  }
-
-  /// Attempts to withdraw `bytes`; returns true on success.
-  bool try_consume(double bytes) {
-    if (credit_ + 1e-9 < bytes) return false;
-    credit_ -= bytes;
-    total_ += bytes;
-    return true;
-  }
-
-  /// Returns credit taken by a try_consume that had to be rolled back
-  /// (e.g. a sibling bucket refused its share of the same request).
-  void refund(double bytes) {
-    credit_ = std::min(cap_, credit_ + bytes);
-    total_ -= bytes;
-  }
-
-  /// Cycles until `bytes` of credit will be available (0 if already there).
-  [[nodiscard]] double cycles_until(double bytes) const {
-    return credit_ >= bytes ? 0.0 : (bytes - credit_) / rate_;
-  }
+  /// Advances time by one cycle, accruing credit.
+  void tick() { credit_ = std::min(cap_, credit_ + rate_); }
 
   /// Unconditionally withdraws `bytes`, letting credit go negative, and
   /// returns how many cycles the requester's data is delayed until the debt
@@ -61,38 +39,28 @@ class TokenBucket {
   /// to `rate` because debt (and hence delay) grows with over-subscription.
   double consume_with_debt(double bytes) {
     credit_ -= bytes;
-    total_ += bytes;
     return credit_ >= 0.0 ? 0.0 : -credit_ / rate_;
   }
-
-  [[nodiscard]] double rate() const { return rate_; }
-  [[nodiscard]] double total_consumed() const { return total_; }
-  void reset_stats() { total_ = 0.0; }
 
  private:
   double rate_;
   double cap_;
   double credit_;
-  double total_ = 0.0;
 };
 
-/// A bandwidth budget shared by several concurrently simulated clients
-/// (the SMs of a full-device simulation).
+/// A bandwidth budget shared by the SMs of a full-device simulation.
 ///
-/// The single-client TokenBucket accrues credit from explicit tick() calls,
-/// which assumes one simulation loop owns the clock. Here each client carries
-/// its own cycle counter (bounded-skew, see sim::TimedDevice), so credit is
-/// accrued from the *timestamps* of the requests themselves: the bucket
-/// remembers the latest cycle it has seen and deposits `rate` bytes per
-/// elapsed cycle. Consumption uses the same debt semantics as
+/// No single client owns the clock, so credit is accrued from the
+/// *timestamps* of the requests themselves: the bucket remembers the latest
+/// cycle it has seen and deposits `rate` bytes per elapsed cycle.
+/// Consumption uses the same debt semantics as
 /// TokenBucket::consume_with_debt — shortage delays a request's completion by
 /// debt/rate cycles without blocking the issuing pipe — which is what makes
 /// bandwidth *contention between SMs* emerge: every SM's withdrawals deepen
 /// the common debt, so each one's completions slip.
 ///
-/// Thread-safe; arbitration is first-come-first-served in wall-clock order,
-/// which bounded clock skew keeps within one sync window of simulated-time
-/// order.
+/// sim::TimedDevice steps its SMs in lockstep, so `now` never decreases
+/// between calls, and requests of one cycle are served in call order.
 class MultiClientBucket {
  public:
   explicit MultiClientBucket(double bytes_per_cycle, double burst_cycles = 64.0)
@@ -104,32 +72,22 @@ class MultiClientBucket {
 
   /// Withdraws `bytes` at the caller's cycle `now`, letting credit go
   /// negative, and returns the completion delay in cycles (0 when credit
-  /// covered the request). Timestamps may arrive slightly out of order
-  /// across clients; elapsed time is measured against the max seen so far.
+  /// covered the request). Credit accrues for the cycles elapsed since the
+  /// previous call; a second call in the same cycle accrues nothing.
   double consume(double bytes, double now) {
-    std::lock_guard lock(mutex_);
     if (now > last_now_) {
       credit_ = std::min(cap_, credit_ + rate_ * (now - last_now_));
       last_now_ = now;
     }
     credit_ -= bytes;
-    total_ += bytes;
     return credit_ >= 0.0 ? 0.0 : -credit_ / rate_;
   }
 
-  [[nodiscard]] double rate() const { return rate_; }
-  [[nodiscard]] double total_consumed() const {
-    std::lock_guard lock(mutex_);
-    return total_;
-  }
-
  private:
-  mutable std::mutex mutex_;
   double rate_;
   double cap_;
   double credit_;
   double last_now_ = 0.0;
-  double total_ = 0.0;
 };
 
 }  // namespace tc::mem

@@ -173,9 +173,8 @@ void run_gemm_op(driver::Device& dev, const GemmOp& gemm, const OpInputs& in,
       launch.launch_order = plan.cfg.launch_order;
       launch.supertile_width = plan.cfg.supertile_width;
       const device::Occupancy occ = device::occupancy(dev.spec(), planned.program);
-      sim::TimedDeviceConfig tdc = dev.timed_full_device(occ.ctas_per_sm);
-      tdc.threads = exec.threads;
-      const sim::DeviceResult dr = dev.run_timed_device(launch, tdc);
+      const sim::DeviceResult dr =
+          dev.run_timed_device(launch, dev.timed_full_device(occ.ctas_per_sm));
       if (exec.timing != nullptr) {
         exec.timing->launch_cycles.push_back(dr.device_cycles);
         exec.timing->device_cycles += dr.device_cycles;
@@ -325,7 +324,6 @@ OpTiming time_gemm_op(const device::DeviceSpec& spec, const OpPlan& plan,
     sim::TimedDeviceConfig dc;
     dc.spec = spec;
     dc.ctas_per_sm = occ.ctas_per_sm;
-    dc.threads = opts.threads;
     dc.skip_mma_math = opts.skip_mma_math;
     dc.forced_l2_hit_rate =
         planned.role == LaunchRole::kMain ? opts.forced_l2_hit_rate : -1.0;

@@ -153,7 +153,6 @@ struct OpExec {
   /// bitwise identical to the functional engine), occupancy from
   /// device::occupancy, per-launch cycles reported through `timing`.
   bool timed = false;
-  int threads = 1;  // TimedDevice host workers; 1 = deterministic lockstep
   OpTiming* timing = nullptr;  // optional, filled when timed
 };
 
@@ -180,7 +179,6 @@ void gemm_op_ref(const GemmOp& gemm, const OpInputs& in, std::span<half> out,
                                                 numerics::NumericsMode::kIdealized);
 
 struct TimedOpOptions {
-  int threads = 1;  // 1 = deterministic lockstep device
   bool skip_mma_math = true;
   /// Forced L2 hit rate for the *main* pass (tune's reuse-model input);
   /// negative = emergent. The reduce pass always runs emergent — each

@@ -1,10 +1,7 @@
 #include "sim/timed_device.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <barrier>
 #include <memory>
-#include <thread>
 
 #include "common/error.hpp"
 
@@ -32,7 +29,9 @@ void accumulate(TimedStats& total, const TimedStats& s) {
 TimedDevice::TimedDevice(TimedDeviceConfig cfg, mem::GlobalMemory& gmem)
     : cfg_(cfg), gmem_(gmem) {
   TC_CHECK(cfg_.ctas_per_sm > 0, "ctas_per_sm must be positive");
-  TC_CHECK(cfg_.sync_window > 0, "sync_window must be positive");
+  TC_CHECK(cfg_.threads == 1, "TimedDeviceConfig.threads must be 1 (got " +
+                                  std::to_string(cfg_.threads) +
+                                  "): the device simulates in lockstep on one host thread");
 }
 
 DeviceResult TimedDevice::run(const Launch& launch) {
@@ -66,69 +65,32 @@ DeviceResult TimedDevice::run(const Launch& launch) {
   for (int i = 0; i < sms_used; ++i) {
     TimedConfig tc;
     tc.spec = cfg_.spec;
-    tc.model_l1 = cfg_.model_l1;
     tc.skip_mma_math = cfg_.skip_mma_math;
     tc.forced_l2_hit_rate = cfg_.forced_l2_hit_rate;
-    tc.max_cycles = cfg_.max_cycles;
     tc.shared = &shared;
     tc.sm_id = i;
     sms.push_back(std::make_unique<TimedSm>(tc, gmem_));
     sms.back()->begin(launch, source, cfg_.ctas_per_sm);
   }
 
-  const int threads = std::clamp(cfg_.threads, 1, sms_used);
-  if (threads == 1) {
-    // Deterministic lockstep: every SM advances exactly one cycle per round,
-    // so cross-SM arbitration order is cycle-exact and reproducible. The
-    // round's start index rotates each cycle — the shared buckets serve
-    // same-cycle requests in call order, and a fixed order would hand SM0 a
-    // standing bandwidth priority (measured: ~9-13% per-SM finish spread on
-    // DRAM-bound kernels at an exactly integral wave).
-    bool any = true;
-    std::uint64_t round = 0;
-    while (any) {
-      any = false;
-      for (int i = 0; i < sms_used; ++i) {
-        auto& sm = sms[static_cast<std::size_t>((i + round) % sms_used)];
-        if (!sm->done()) {
-          sm->step();
-          any = true;
-        }
+  // Lockstep: every SM advances exactly one cycle per round, so cross-SM
+  // arbitration order is cycle-exact and reproducible. The round's start
+  // index rotates each cycle — the shared buckets serve same-cycle requests
+  // in call order, and a fixed order would hand SM0 a standing bandwidth
+  // priority (measured: ~9-13% per-SM finish spread on DRAM-bound kernels at
+  // an exactly integral wave).
+  bool any = true;
+  std::uint64_t round = 0;
+  while (any) {
+    any = false;
+    for (int i = 0; i < sms_used; ++i) {
+      auto& sm = sms[static_cast<std::size_t>((i + round) % sms_used)];
+      if (!sm->done()) {
+        sm->step();
+        any = true;
       }
-      ++round;
     }
-  } else {
-    // Sharded pool with bounded skew: each worker steps its SMs through one
-    // sync window, then all workers rendezvous; no SM's clock can lead
-    // another's by more than sync_window cycles.
-    std::atomic<bool> all_done{false};
-    auto recheck = [&]() noexcept {
-      bool done = true;
-      for (auto& sm : sms) {
-        if (!sm->done()) {
-          done = false;
-          break;
-        }
-      }
-      all_done.store(done, std::memory_order_relaxed);
-    };
-    std::barrier bar(threads, recheck);
-    auto worker = [&](int t) {
-      while (!all_done.load(std::memory_order_relaxed)) {
-        for (int c = 0; c < cfg_.sync_window; ++c) {
-          for (int i = t; i < sms_used; i += threads) {
-            if (!sms[static_cast<std::size_t>(i)]->done()) {
-              sms[static_cast<std::size_t>(i)]->step();
-            }
-          }
-        }
-        bar.arrive_and_wait();
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (auto& th : pool) th.join();
+    ++round;
   }
 
   DeviceResult res;

@@ -8,14 +8,10 @@
 // inter-CTA L2 reuse — all emerge here from simulation, which is what makes
 // this engine the validation oracle for the model (tests/test_device_xval).
 //
-// Threading: SMs are sharded across `threads` host workers, each stepping its
-// SMs one cycle at a time; workers synchronize on a barrier every
-// `sync_window` cycles, bounding clock skew between any two SMs to one
-// window. With threads == 1 (the default) every SM is stepped in lockstep
-// round-robin, so the global interleave is cycle-exact and the simulation is
-// fully deterministic; multi-threaded runs may reorder same-window bucket
-// withdrawals and L2 tag probes, shifting results by a bounded amount
-// (test_device_xval pins the allowed drift).
+// Determinism: every SM advances exactly one cycle per lockstep round, on one
+// host thread, so cross-SM arbitration (shared-bucket withdrawals, L2 tag
+// probes, CTA hand-out) happens in one reproducible order and a launch has
+// exactly one result. The round's start SM rotates every cycle (see run()).
 #pragma once
 
 #include <cstdint>
@@ -35,18 +31,13 @@ struct TimedDeviceConfig {
   /// actual occupancy; the simulator does not re-derive it.
   int ctas_per_sm = 1;
 
-  /// Host worker threads. 1 = deterministic lockstep (recommended and the
-  /// default; also what a single-core CI box can actually parallelize).
+  /// Must be 1: the device runs on one host thread. Any other value is
+  /// rejected rather than silently ignored.
   int threads = 1;
 
-  /// Cycles between cross-thread synchronization barriers (threads > 1).
-  int sync_window = 64;
-
   /// Forwarded to each TimedSm (see TimedConfig).
-  bool model_l1 = true;
   bool skip_mma_math = false;
   double forced_l2_hit_rate = -1.0;
-  std::uint64_t max_cycles = 4'000'000'000ull;
 };
 
 struct DeviceResult {

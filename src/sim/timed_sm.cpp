@@ -92,9 +92,16 @@ struct BarrierRelease {
   std::uint8_t barrier;
 };
 
-// Per-cycle warp-state scratch for stall attribution (profiling only).
-constexpr std::uint8_t kWarpEligible = 200;
-constexpr std::uint8_t kWarpDead = 255;
+// Instructions the SM-wide MIO queue holds before MIO-pipe issue stalls.
+constexpr std::size_t kMioQueueDepth = 12;
+
+// A warp's scheduler state in one cycle: the prof::StallReason blocking it,
+// or one of these two.
+using WarpState = std::uint8_t;
+constexpr WarpState kWarpEligible = 200;
+constexpr WarpState kWarpDead = 255;
+
+constexpr WarpState blocked_by(prof::StallReason r) { return static_cast<WarpState>(r); }
 
 }  // namespace
 
@@ -118,7 +125,7 @@ struct TimedSm::Impl {
   int num_warps = 0;
   int alive = 0;
   prof::Profiler* prof = nullptr;
-  std::vector<std::uint8_t> warp_state;
+  std::vector<WarpState> warp_state;  // per-cycle scratch (profiling only)
   std::vector<std::uint64_t> tensor_free;
   std::vector<std::uint64_t> fma_free;
   std::vector<std::uint64_t> alu_free;
@@ -166,9 +173,9 @@ struct TimedSm::Impl {
   /// Classifies one global access: which bytes come from L1/L2/DRAM, what
   /// MIO cost and latency it has. Mutates cache tag state (done exactly once
   /// per op). When bound to a SharedMemSystem the device-wide L2 tag array is
-  /// probed (under its mutex) instead of the private per-SM copy, so hits
-  /// produced by *other* SMs' traffic are observed — that is the inter-CTA
-  /// reuse WavePerf only models analytically.
+  /// probed instead of the private per-SM copy, so hits produced by *other*
+  /// SMs' traffic are observed — that is the inter-CTA reuse WavePerf only
+  /// models analytically.
   void classify_global(MioOp& op) {
     const auto sectors =
         mem::coalesce_sectors(std::span(op.access.addrs), std::span(op.access.active),
@@ -200,7 +207,6 @@ struct TimedSm::Impl {
         l2_hit = forced_l2_accum >= 1.0;
         if (l2_hit) forced_l2_accum -= 1.0;
       } else if (cfg.shared != nullptr) {
-        std::lock_guard lock(cfg.shared->l2_mutex);
         l2_hit = cfg.shared->l2.access(s) == mem::HitLevel::kHit;
       } else {
         l2_hit = l2.access(s) == mem::HitLevel::kHit;
@@ -348,6 +354,47 @@ struct TimedSm::Impl {
     }
   }
 
+  /// The one definition of "may this warp issue this cycle", shared by the
+  /// issue loop and the profiler: kWarpDead once it exited, kWarpEligible
+  /// when it can issue into partition `p` now, otherwise the reason it
+  /// cannot, tested in order: BAR.SYNC, stall-count window, scoreboard wait,
+  /// then target pipe or MIO-queue space. Settles the warp's due writebacks
+  /// first, which is time-driven and idempotent.
+  WarpState warp_state_of(TWarp& w, int p) {
+    if (w.exited) return kWarpDead;
+    if (w.at_barrier) return blocked_by(prof::StallReason::kBarrier);
+    if (w.ready_cycle > now) return blocked_by(prof::StallReason::kStallCount);
+    settle_warp(w);
+    const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
+    for (int b = 0; b < sass::kNumBarriers; ++b) {
+      if (((inst.ctrl.wait_mask >> b) & 1) && w.scoreboard[b] > 0) {
+        return blocked_by(prof::StallReason::kScoreboard);
+      }
+    }
+    const auto pi = static_cast<std::size_t>(p);
+    bool free = true;
+    switch (sass::pipe_class(inst.op)) {
+      case sass::PipeClass::kTensor:
+        free = tensor_free[pi] <= now;
+        break;
+      case sass::PipeClass::kFma:
+        free = fma_free[pi] <= now;
+        break;
+      case sass::PipeClass::kAlu:
+      case sass::PipeClass::kSpecial:
+        free = alu_free[pi] <= now;
+        break;
+      case sass::PipeClass::kMio:
+        if (mio_queue.size() >= kMioQueueDepth) {
+          return blocked_by(prof::StallReason::kMioQueueFull);
+        }
+        break;
+      case sass::PipeClass::kControl:
+        break;
+    }
+    return free ? kWarpEligible : blocked_by(prof::StallReason::kPipeBusy);
+  }
+
   void step_cycle() {
     TC_CHECK(now < cfg.max_cycles, "timed simulation exceeded max_cycles (deadlock?)");
     if (cfg.shared == nullptr) {
@@ -459,64 +506,18 @@ struct TimedSm::Impl {
 
     // --- issue: one instruction per partition per cycle ----------------------
     for (int p = 0; p < partitions; ++p) {
-      // Profiling pre-pass: classify every resident warp's scheduler state
-      // this cycle with the same checks the issue loop applies, so idle
-      // cycles can be attributed per warp and per PC (the software analogue
-      // of Nsight's warp-state sampling). settle_warp is time-driven and
-      // idempotent, so running it here does not perturb the issue loop.
+      // Profiling: record every resident warp's state before this
+      // partition issues, so idle cycles can be attributed per warp and per
+      // PC (the software analogue of Nsight's warp-state sampling).
       if (prof != nullptr) {
         for (int wi = 0; wi < num_warps; ++wi) {
           if (partition_of(wi) != p) continue;
-          TWarp& w = *warps[static_cast<std::size_t>(wi)];
-          std::uint8_t state = kWarpDead;
-          if (w.exited) {
-            state = kWarpDead;
-          } else if (w.at_barrier) {
-            state = static_cast<std::uint8_t>(prof::StallReason::kBarrier);
-          } else if (w.ready_cycle > now) {
-            state = static_cast<std::uint8_t>(prof::StallReason::kStallCount);
-          } else {
-            settle_warp(w);
-            const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
-            bool waiting = false;
-            for (int b = 0; b < sass::kNumBarriers; ++b) {
-              if (((inst.ctrl.wait_mask >> b) & 1) && w.scoreboard[b] > 0) {
-                waiting = true;
-                break;
-              }
-            }
-            if (waiting) {
-              state = static_cast<std::uint8_t>(prof::StallReason::kScoreboard);
-            } else {
-              state = kWarpEligible;
-              switch (sass::pipe_class(inst.op)) {
-                case sass::PipeClass::kTensor:
-                  if (tensor_free[static_cast<std::size_t>(p)] > now)
-                    state = static_cast<std::uint8_t>(prof::StallReason::kPipeBusy);
-                  break;
-                case sass::PipeClass::kFma:
-                  if (fma_free[static_cast<std::size_t>(p)] > now)
-                    state = static_cast<std::uint8_t>(prof::StallReason::kPipeBusy);
-                  break;
-                case sass::PipeClass::kAlu:
-                case sass::PipeClass::kSpecial:
-                  if (alu_free[static_cast<std::size_t>(p)] > now)
-                    state = static_cast<std::uint8_t>(prof::StallReason::kPipeBusy);
-                  break;
-                case sass::PipeClass::kMio:
-                  if (static_cast<int>(mio_queue.size()) >= cfg.mio_queue_depth)
-                    state = static_cast<std::uint8_t>(prof::StallReason::kMioQueueFull);
-                  break;
-                case sass::PipeClass::kControl:
-                  break;
-              }
-            }
-          }
-          warp_state[static_cast<std::size_t>(wi)] = state;
+          warp_state[static_cast<std::size_t>(wi)] =
+              warp_state_of(*warps[static_cast<std::size_t>(wi)], p);
         }
       }
 
-      // Collect this partition's warps in rotating order.
+      // Issue the first eligible warp in rotating order.
       int issued_warp = -1;
       std::int32_t issued_pc = -1;
       const sass::Instruction* issued_inst = nullptr;
@@ -524,43 +525,11 @@ struct TimedSm::Impl {
         const int wi = (rr[static_cast<std::size_t>(p)] + probe) % num_warps;
         if (partition_of(wi) != p) continue;
         TWarp& w = *warps[static_cast<std::size_t>(wi)];
-        if (w.exited || w.at_barrier || w.ready_cycle > now) continue;
-        settle_warp(w);
-        const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
-
-        // Scoreboard waits.
-        bool waiting = false;
-        for (int b = 0; b < sass::kNumBarriers; ++b) {
-          if ((inst.ctrl.wait_mask >> b) & 1) {
-            if (w.scoreboard[b] > 0) {
-              waiting = true;
-              break;
-            }
-          }
-        }
-        if (waiting) continue;
-
-        // Pipe availability.
-        const auto pclass = sass::pipe_class(inst.op);
-        switch (pclass) {
-          case sass::PipeClass::kTensor:
-            if (tensor_free[static_cast<std::size_t>(p)] > now) continue;
-            break;
-          case sass::PipeClass::kFma:
-            if (fma_free[static_cast<std::size_t>(p)] > now) continue;
-            break;
-          case sass::PipeClass::kAlu:
-          case sass::PipeClass::kSpecial:
-            if (alu_free[static_cast<std::size_t>(p)] > now) continue;
-            break;
-          case sass::PipeClass::kMio:
-            if (static_cast<int>(mio_queue.size()) >= cfg.mio_queue_depth) continue;
-            break;
-          case sass::PipeClass::kControl:
-            break;
-        }
+        if (warp_state_of(w, p) != kWarpEligible) continue;
 
         // --- issue ----------------------------------------------------------
+        const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
+        const auto pclass = sass::pipe_class(inst.op);
         issued_pc = w.pc;  // captured before the control-flow switch advances it
         issued_inst = &inst;
         TCta& cta = cta_state[static_cast<std::size_t>(w.cta_index)];
@@ -676,7 +645,7 @@ struct TimedSm::Impl {
         int live = 0;
         for (int wi = 0; wi < num_warps; ++wi) {
           if (partition_of(wi) != p) continue;
-          const std::uint8_t state = warp_state[static_cast<std::size_t>(wi)];
+          const WarpState state = warp_state[static_cast<std::size_t>(wi)];
           if (state == kWarpDead) continue;
           ++live;
           if (wi == issued_warp) continue;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -46,8 +45,8 @@ struct CtaCoord {
 };
 
 /// Hands out CTAs to SMs as their resident slots free up — the GigaThread
-/// engine of a full-device simulation. Implementations must be thread-safe
-/// when shared between SMs running on different host threads.
+/// engine of a full-device simulation. The SMs of one TimedDevice share one
+/// source and call it from one host thread, in lockstep order.
 class CtaSource {
  public:
   virtual ~CtaSource() = default;
@@ -66,7 +65,6 @@ class GridCtaSource final : public CtaSource {
         total_(static_cast<std::uint64_t>(grid_x) * grid_y * grid_z) {}
 
   std::optional<CtaCoord> next() override {
-    std::lock_guard lock(mutex_);
     if (issued_ >= total_) return std::nullopt;
     const std::uint64_t i = issued_++;
     const std::uint64_t p = i % plane_;
@@ -75,13 +73,9 @@ class GridCtaSource final : public CtaSource {
                     static_cast<std::uint32_t>(i / plane_)};
   }
 
-  [[nodiscard]] std::uint64_t issued() const override {
-    std::lock_guard lock(mutex_);
-    return issued_;
-  }
+  [[nodiscard]] std::uint64_t issued() const override { return issued_; }
 
  private:
-  mutable std::mutex mutex_;
   std::uint32_t grid_x_;
   std::uint64_t plane_;
   std::uint64_t total_;
@@ -89,7 +83,7 @@ class GridCtaSource final : public CtaSource {
 };
 
 /// Dispenses the grid in an arbitrary LaunchOrder (supertile, serpentine,
-/// Hilbert) via a CtaOrderMap. Same thread-safety contract as GridCtaSource.
+/// Hilbert) via a CtaOrderMap.
 class OrderedCtaSource final : public CtaSource {
  public:
   OrderedCtaSource(LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y,
@@ -100,7 +94,6 @@ class OrderedCtaSource final : public CtaSource {
         map_(order, grid_x, grid_y, supertile_width) {}
 
   std::optional<CtaCoord> next() override {
-    std::lock_guard lock(mutex_);
     if (issued_ >= map_.total() * grid_z_) return std::nullopt;
     // z-outer: each z plane re-walks the same 2D curve from its start.
     if (issued_ > 0 && issued_ % map_.total() == 0) {
@@ -112,13 +105,9 @@ class OrderedCtaSource final : public CtaSource {
     return CtaCoord{x, y, z};
   }
 
-  [[nodiscard]] std::uint64_t issued() const override {
-    std::lock_guard lock(mutex_);
-    return issued_;
-  }
+  [[nodiscard]] std::uint64_t issued() const override { return issued_; }
 
  private:
-  mutable std::mutex mutex_;
   LaunchOrder order_;
   int supertile_width_;
   std::uint64_t grid_z_;
@@ -144,14 +133,10 @@ struct SharedMemSystem {
 
   mem::MultiClientBucket dram_bw;
   mem::MultiClientBucket l2_bw;
-  mem::SectorCache l2;  // guarded by l2_mutex
-  std::mutex l2_mutex;
+  mem::SectorCache l2;
 
   /// Device-wide L2 sector hit rate observed so far.
-  [[nodiscard]] double l2_hit_rate() {
-    std::lock_guard lock(l2_mutex);
-    return l2.stats().hit_rate();
-  }
+  [[nodiscard]] double l2_hit_rate() const { return l2.stats().hit_rate(); }
 };
 
 struct TimedConfig {
@@ -176,7 +161,6 @@ struct TimedConfig {
   /// with no data-dependent control flow, which is all of them here.
   bool skip_mma_math = false;
 
-  int mio_queue_depth = 12;
   std::uint64_t max_cycles = 4'000'000'000ull;
 
   /// Optional profiler (see src/prof). When null — the default — the engine

@@ -11,14 +11,10 @@
 #include "common/rng.hpp"
 #include "core/hgemm.hpp"
 #include "core/kernel_gen.hpp"
-#include "mem/global_mem.hpp"
 #include "model/blocking.hpp"
 #include "model/l2_reuse.hpp"
 #include "op/op.hpp"
-#include "sass/diag.hpp"
 #include "sass/validator.hpp"
-#include "sim/launch.hpp"
-#include "sim/timed_device.hpp"
 
 namespace tc::tune {
 
@@ -52,79 +48,35 @@ double predicted_l2_hit_rate(const device::DeviceSpec& spec, const core::HgemmCo
 
 namespace {
 
-/// One timed-device evaluation: the validate_wave device-side harness
-/// (skip_mma_math, lockstep, model-pinned L2 hit rate) over the full grid at
-/// the candidate's padded contract shape.
+/// One timed-device evaluation: the candidate lowered to its GemmOp plan and
+/// costed by op::time_gemm_op (skip_mma_math, lockstep, model-pinned L2 hit
+/// rate on the main pass) over the full grid at the padded contract shape.
+/// A split-K candidate's plan adds a reduction launch, charged the
+/// inter-launch overhead, so it only wins when the extra parallelism pays for
+/// the second kernel.
 void eval_timed_device(const device::DeviceSpec& spec, const GemmShape& user_shape,
                        Candidate& c) {
   const GemmShape s = c.cfg.contract_shape(user_shape);
-
-  // Split-K candidates lower to the multi-kernel GemmOp plan (main pass +
-  // reduction) and are costed with the inter-launch overhead, so they only
-  // win when the extra parallelism actually pays for the second kernel.
-  if (c.cfg.split_k > 1) {
-    op::GemmOp gemm;
-    gemm.shape = user_shape;
-    gemm.split_k = c.cfg.split_k;
-    const op::OpPlan plan = op::lower(gemm, c.cfg);
-    const sass::Program& prog = plan.launches.front().program;
-    c.hazard_diags = 0;  // time_gemm_op hard-gates every launch (throws on any)
-    TC_CHECK(prog.num_regs == c.regs, "predicted register count diverged for " + c.name);
-    const device::Occupancy built = device::occupancy(spec, prog);
-    TC_CHECK(built.ctas_per_sm == c.occ.ctas_per_sm,
-             "predicted occupancy diverged for " + c.name);
-
-    op::TimedOpOptions topts;
-    topts.threads = 1;  // lockstep: candidate-level parallelism lives in tune()
-    topts.forced_l2_hit_rate = predicted_l2_hit_rate(spec, c.cfg, c.occ, s);
-    const op::OpTiming t = op::time_gemm_op(spec, plan, topts);
-    // Launches beyond the first carry the launch overhead; the first one's
-    // cost is common to every candidate and cancels in the ranking.
-    c.sim_cycles = t.total_extra_overhead(spec.launch_overhead_cycles);
-    c.sms_used = t.main_sms_used;
-    c.seconds = spec.cycles_to_seconds(static_cast<double>(c.sim_cycles));
-    c.tflops = s.flops() / c.seconds / 1e12;
-    return;
-  }
-
-  const sass::Program prog = core::hgemm_kernel(c.cfg, s);
-
-  // Hard gate: no kernel reaches the simulator unvalidated.
-  sass::validate(prog);
-  const auto diags = check::find_hazards(prog);
-  c.hazard_diags = diags.size();
-  TC_CHECK(diags.empty(),
-           "tuner built a hazardous kernel: " + c.name + " — " + sass::format(diags.front()));
+  op::GemmOp gemm;
+  gemm.shape = user_shape;
+  gemm.split_k = c.cfg.split_k;
+  const op::OpPlan plan = op::lower(gemm, c.cfg);
+  c.hazard_diags = 0;  // time_gemm_op hard-gates every launch (throws on any)
 
   // The static space filter must have predicted this program exactly.
+  const sass::Program& prog = plan.launches.front().program;
   TC_CHECK(prog.num_regs == c.regs, "predicted register count diverged for " + c.name);
   const device::Occupancy built = device::occupancy(spec, prog);
   TC_CHECK(built.ctas_per_sm == c.occ.ctas_per_sm, "predicted occupancy diverged for " + c.name);
 
-  mem::GlobalMemory gmem;
-  sim::Launch launch;
-  launch.program = &prog;
-  launch.grid_x = static_cast<std::uint32_t>(s.n / static_cast<std::size_t>(c.cfg.bn));
-  launch.grid_y = static_cast<std::uint32_t>(s.m / static_cast<std::size_t>(c.cfg.bm));
-  launch.launch_order = c.cfg.launch_order;
-  launch.supertile_width = c.cfg.supertile_width;
-  const auto a_addr = gmem.alloc(s.m * s.k * 2);
-  const auto b_addr = gmem.alloc(s.n * s.k * 2);
-  const auto c_addr = gmem.alloc(s.m * s.n * 2);
-  launch.params = {a_addr, b_addr, c_addr};
-
-  sim::TimedDeviceConfig dc;
-  dc.spec = spec;
-  dc.ctas_per_sm = c.occ.ctas_per_sm;
-  dc.threads = 1;  // lockstep: candidate-level parallelism lives in tune()
-  dc.skip_mma_math = true;
-  dc.forced_l2_hit_rate = predicted_l2_hit_rate(spec, c.cfg, c.occ, s);
-  sim::TimedDevice dev(dc, gmem);
-  const sim::DeviceResult dr = dev.run(launch);
-
-  c.sim_cycles = dr.device_cycles;
-  c.sms_used = dr.sms_used;
-  c.seconds = spec.cycles_to_seconds(static_cast<double>(dr.device_cycles));
+  op::TimedOpOptions topts;
+  topts.forced_l2_hit_rate = predicted_l2_hit_rate(spec, c.cfg, c.occ, s);
+  const op::OpTiming t = op::time_gemm_op(spec, plan, topts);
+  // Launches beyond the first carry the launch overhead; the first one's
+  // cost is common to every candidate and cancels in the ranking.
+  c.sim_cycles = t.total_extra_overhead(spec.launch_overhead_cycles);
+  c.sms_used = t.main_sms_used;
+  c.seconds = spec.cycles_to_seconds(static_cast<double>(c.sim_cycles));
   c.tflops = s.flops() / c.seconds / 1e12;
 }
 

@@ -11,9 +11,9 @@
 //
 // Determinism: candidate enumeration, model ranking and the final sort use
 // only fixed tie-broken orderings; exploration picks come from tc::Rng with
-// the caller's seed; every simulator run uses the single-threaded lockstep
-// device (sim threads = 1) regardless of how many *host* threads evaluate
-// candidates concurrently. Same options in, bitwise-identical TuneResult
+// the caller's seed; every simulator run uses the lockstep device, which
+// steps its SMs on one host thread, regardless of how many *host* threads
+// evaluate candidates concurrently. Same options in, bitwise-identical TuneResult
 // out — tests/test_tune.cpp holds this across host thread counts.
 #pragma once
 

@@ -1,11 +1,13 @@
 // Shared FNV-1a 64 hashing over half-precision buffers, used by the
 // regression pins in test_equivalence.cpp and the JIT engine-axis tests:
 // a pinned hash recorded under one engine must reproduce bit-for-bit under
-// every other engine, so all of them must hash the same way.
+// every other engine, so all of them must hash the same way. The word form
+// pins integer counter sets (test_prof.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "common/half.hpp"
 #include "common/matrix.hpp"
@@ -20,6 +22,17 @@ inline std::uint64_t fnv1a_bits(const half* data, std::size_t count) {
     for (const std::uint8_t byte : {static_cast<std::uint8_t>(b & 0xFF),
                                     static_cast<std::uint8_t>(b >> 8)}) {
       h = (h ^ byte) * 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+/// FNV-1a 64 over 64-bit words, each hashed low byte first.
+inline std::uint64_t fnv1a_words(std::span<const std::uint64_t> words) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint64_t w : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((w >> (8 * byte)) & 0xFF)) * 1099511628211ull;
     }
   }
   return h;

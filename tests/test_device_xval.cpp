@@ -274,38 +274,76 @@ TEST(DeviceXval, SubWaveGridPrimesEverySm) {
   for (const auto& s : ores.per_sm) EXPECT_GT(s.instructions, 0u);
 }
 
-TEST(DeviceXval, ThreadShardingAgreesWithLockstep) {
-  // threads=2 reorders same-window shared-bucket withdrawals; bounded skew
-  // must keep the result within a small band of the deterministic interleave.
-  const auto spec = device::rtx2070();
-  const auto kin = hgemm_input(spec, core::HgemmConfig::optimized());
-  const GemmShape shape{1024, 512, 128};  // 8 CTAs
-  const sass::Program prog = kin.make_kernel(shape);
+void expect_same_stats(const sim::TimedStats& a, const sim::TimedStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.hmma_count, b.hmma_count);
+  EXPECT_EQ(a.tensor_busy, b.tensor_busy);
+  EXPECT_EQ(a.fma_busy, b.fma_busy);
+  EXPECT_EQ(a.alu_busy, b.alu_busy);
+  EXPECT_EQ(a.mio_busy, b.mio_busy);
+  EXPECT_EQ(a.mio_bw_stall, b.mio_bw_stall);
+  EXPECT_EQ(a.l1_bytes, b.l1_bytes);
+  EXPECT_EQ(a.l2_bytes, b.l2_bytes);
+  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
+  EXPECT_EQ(a.smem_beats, b.smem_beats);
+  EXPECT_EQ(a.smem_phases, b.smem_phases);
+}
 
-  auto run = [&](int threads) {
+TEST(DeviceXval, LockstepRunsAreBitwiseRepeatable) {
+  // One launch has one result: two runs agree on every DeviceResult field.
+  // An emergent-L2, DRAM-bound grid (cublas_like on T4, two CTAs per SM)
+  // exercises the shared L2 tag array and both shared bandwidth buckets
+  // under contention; the Hilbert order adds the OrderedCtaSource.
+  const auto spec = device::t4();
+  const auto cfg = core::HgemmConfig::cublas_like();
+  const GemmShape shape{1024, 512, 128};  // 4 x 8 CTAs on 16 SMs
+  const sass::Program prog = core::hgemm_kernel(cfg, shape);
+
+  auto run = [&](sim::LaunchOrder order, int threads) {
     mem::GlobalMemory gmem;
     sim::Launch launch;
     launch.program = &prog;
-    launch.grid_x = 2;
-    launch.grid_y = 4;
+    launch.grid_x = static_cast<std::uint32_t>(shape.n / static_cast<std::size_t>(cfg.bn));
+    launch.grid_y = static_cast<std::uint32_t>(shape.m / static_cast<std::size_t>(cfg.bm));
+    launch.launch_order = order;
     launch.params = {gmem.alloc(shape.m * shape.k * 2), gmem.alloc(shape.n * shape.k * 2),
                      gmem.alloc(shape.m * shape.n * 2)};
     sim::TimedDeviceConfig dc;
     dc.spec = spec;
-    dc.ctas_per_sm = kin.ctas_per_sm;
+    dc.ctas_per_sm = device::occupancy(spec, prog).ctas_per_sm;
     dc.skip_mma_math = true;
     dc.threads = threads;
     sim::TimedDevice dev(dc, gmem);
-    return dev.run(launch).device_cycles;
+    return dev.run(launch);
   };
 
-  const auto lockstep = run(1);
-  const auto sharded = run(2);
-  EXPECT_NEAR(static_cast<double>(sharded), static_cast<double>(lockstep),
-              0.05 * static_cast<double>(lockstep));
+  for (const auto order : {sim::LaunchOrder::kRowMajor, sim::LaunchOrder::kHilbert}) {
+    SCOPED_TRACE(static_cast<int>(order));
+    const sim::DeviceResult a = run(order, 1);
+    const sim::DeviceResult b = run(order, 1);
+    EXPECT_EQ(a.device_cycles, b.device_cycles);
+    EXPECT_EQ(a.l2_hit_rate, b.l2_hit_rate);
+    EXPECT_EQ(a.ctas_run, b.ctas_run);
+    EXPECT_EQ(a.sms_used, b.sms_used);
+    ASSERT_EQ(a.per_sm.size(), b.per_sm.size());
+    for (std::size_t i = 0; i < a.per_sm.size(); ++i) expect_same_stats(a.per_sm[i], b.per_sm[i]);
+    expect_same_stats(a.total, b.total);
+    // The run really shares the device: every SM fed, L2 hits emerge.
+    EXPECT_EQ(a.ctas_run, 32u);
+    EXPECT_GT(a.sms_used, 1);
+    EXPECT_GT(a.l2_hit_rate, 0.0);
+  }
 
-  // threads=1 must be exactly reproducible.
-  EXPECT_EQ(run(1), lockstep);
+  // There is no multi-threaded device: a thread count other than 1 is an
+  // error that names the field, not a silently ignored knob.
+  try {
+    (void)run(sim::LaunchOrder::kRowMajor, 2);
+    ADD_FAILURE() << "threads = 2 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("TimedDeviceConfig.threads"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -199,37 +199,42 @@ TEST(Coalescer, DuplicateAddressesMergeAndInactiveSkip) {
   EXPECT_EQ(sectors.size(), 1u);
 }
 
-TEST(TokenBucket, RateLimitsOverTime) {
-  TokenBucket tb(8.0, 1.0);  // 8 B/cycle, tiny burst (floored to 1024)
-  // Drain the initial burst credit.
-  while (tb.try_consume(1024.0)) {
-  }
-  double consumed = 0;
-  for (int cycle = 0; cycle < 1000; ++cycle) {
+TEST(TokenBucket, ConsumeWithDebtDelaysByDebtOverRate) {
+  TokenBucket tb(4.0, 1.0);  // 4 B/cycle, burst floored to 1024 B, full at start
+  EXPECT_EQ(tb.consume_with_debt(1000.0), 0.0);  // covered by the burst credit
+  EXPECT_EQ(tb.consume_with_debt(64.0), 10.0);   // 40 B of debt at 4 B/cycle
+  tb.tick();                                      // one cycle repays 4 B
+  EXPECT_EQ(tb.consume_with_debt(0.0), 9.0);
+}
+
+TEST(TokenBucket, SustainedWithdrawalConvergesToRate) {
+  // One 64 B request per cycle against an 8 B/cycle budget: the issuing side
+  // never blocks, but completions slip with the growing debt, so delivered
+  // bytes over completion time converge to the rate.
+  TokenBucket tb(8.0);
+  const int n = 10000;
+  double last_done = 0.0;
+  for (int cycle = 0; cycle < n; ++cycle) {
     tb.tick();
-    if (tb.try_consume(32.0)) consumed += 32.0;
+    last_done = cycle + tb.consume_with_debt(64.0);
   }
-  EXPECT_NEAR(consumed / 1000.0, 8.0, 1.0);  // ~rate
+  EXPECT_NEAR(64.0 * n / last_done, 8.0, 0.05);
 }
 
-TEST(TokenBucket, RefundRestoresCredit) {
-  TokenBucket tb(1.0);
-  ASSERT_TRUE(tb.try_consume(512.0));
-  const double before = tb.total_consumed();
-  tb.refund(512.0);
-  EXPECT_DOUBLE_EQ(tb.total_consumed(), before - 512.0);
-  EXPECT_TRUE(tb.try_consume(512.0));
+TEST(MultiClientBucket, CreditAccruesFromTimestampGap) {
+  MultiClientBucket b(4.0, 1.0);  // 4 B/cycle, burst floored to 1024 B
+  EXPECT_EQ(b.consume(1024.0, 0.0), 0.0);  // drains the burst credit
+  EXPECT_EQ(b.consume(40.0, 10.0), 0.0);   // 10 elapsed cycles accrued 40 B
+  EXPECT_EQ(b.consume(8.0, 10.0), 2.0);    // same cycle: nothing accrues
+  EXPECT_EQ(b.consume(0.0, 12.0), 0.0);    // two more cycles repay the debt
 }
 
-TEST(TokenBucket, CyclesUntilEstimates) {
-  TokenBucket tb(4.0);
-  while (tb.try_consume(256.0)) {
-  }
-  const double bytes = 40.0;
-  const double wait = tb.cycles_until(bytes);
-  EXPECT_GT(wait, 0.0);
-  tb.tick(wait);
-  EXPECT_TRUE(tb.try_consume(bytes));
+TEST(MultiClientBucket, CreditStopsAtBurstCap) {
+  MultiClientBucket b(4.0, 1.0);
+  EXPECT_EQ(b.consume(1024.0, 0.0), 0.0);
+  // 10000 idle cycles would accrue 40000 B; the cap keeps 1024 B, so the
+  // 40 B beyond it is debt.
+  EXPECT_EQ(b.consume(1064.0, 10000.0), 10.0);
 }
 
 }  // namespace

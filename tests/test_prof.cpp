@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "core/profile.hpp"
 #include "device/spec.hpp"
@@ -14,6 +15,7 @@
 #include "prof/trace.hpp"
 #include "sass/builder.hpp"
 #include "sim/timed_sm.hpp"
+#include "support/fnv1a.hpp"
 
 namespace tc {
 namespace {
@@ -244,6 +246,50 @@ TEST(Prof, ProfileHgemmReportsSteadyStateCounters) {
   std::ostringstream os;
   trace.write(os);
   EXPECT_GT(os.str().size(), 1000u);
+}
+
+TEST(Prof, StallAttributionIsPinned) {
+  // Pins every number the timed engine's per-warp eligibility check feeds
+  // the profiler: per-pipe issue and busy cycles, each scheduler's issue,
+  // idle and idle-by-reason cycles, and the hot-PC table (issues, stall
+  // cycles and the dominant reason per PC). k = 128 keeps the surrogate
+  // short: 4 main-loop iterations for optimized (bk 32), 2 for cublas_like.
+  struct Pin {
+    device::DeviceSpec spec;
+    core::HgemmConfig cfg;
+    const char* name;
+    std::uint64_t hash;
+  };
+  const auto opt = core::HgemmConfig::optimized();
+  const auto cub = core::HgemmConfig::cublas_like();
+  const std::vector<Pin> pins = {
+      {device::rtx2070(), opt, "rtx2070/optimized", 0x4BAB769CAF00E035ull},
+      {device::rtx2070(), cub, "rtx2070/cublas_like", 0x0FCD81986EF1AC56ull},
+      {device::t4(), opt, "t4/optimized", 0x54A1FB2A3AB1B65Cull},
+      {device::t4(), cub, "t4/cublas_like", 0xAD3E5167A2FB603Dull},
+  };
+  for (const auto& pin : pins) {
+    const auto hp = core::profile_hgemm(pin.spec, pin.cfg, {1024, 1024, 128});
+    const auto& c = hp.profiler.counters();
+    ASSERT_EQ(c.sched.size(), 4u) << pin.name;
+    std::vector<std::uint64_t> words = {c.cycles, c.instructions};
+    words.insert(words.end(), c.pipe_issue.begin(), c.pipe_issue.end());
+    words.insert(words.end(), c.pipe_busy.begin(), c.pipe_busy.end());
+    for (const auto& s : c.sched) {
+      words.push_back(s.issue_cycles);
+      words.push_back(s.idle_cycles);
+      words.insert(words.end(), s.idle_by_reason.begin(), s.idle_by_reason.end());
+    }
+    for (const auto& h : hp.profiler.hot_pcs(16)) {
+      words.push_back(static_cast<std::uint64_t>(h.pc));
+      words.push_back(h.issued);
+      words.push_back(h.stall_cycles);
+      words.push_back(static_cast<std::uint64_t>(h.dominant));
+      words.push_back(h.dominant_cycles);
+    }
+    const std::uint64_t hash = testsupport::fnv1a_words(words);
+    EXPECT_EQ(hash, pin.hash) << pin.name << " hashed 0x" << std::hex << std::uppercase << hash;
+  }
 }
 
 }  // namespace tc
