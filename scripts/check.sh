@@ -24,17 +24,19 @@ echo "== schedule checks: kernel hazard scan + fuzz smoke + device/L2 xval =="
 # device's emergent sector-cache hit rate for every launch order.
 ctest --test-dir build --output-on-failure -L "fuzz_smoke|device_xval|l2_xval"
 
-echo "== timed-device determinism gate: two processes per spec =="
+echo "== timed-device determinism gate: two processes per spec + recorded result =="
 # The perf JSON holds only simulated results, so any byte difference between
 # two runs of one launch is nondeterminism. Separate processes catch what the
 # in-process repeatability test cannot, such as ordering by host pointer
-# under ASLR.
+# under ASLR. The recorded fixture catches a change that moves both runs
+# alike (rtx2070: 43,855 device cycles).
 for dev in rtx2070 t4; do
   for run in 1 2; do
     ./build/examples/tcgemm_cli perf --device "$dev" --m 1024 --n 1024 --k 256 \
       --engine device --json "build/determinism_${dev}_${run}.json" >/dev/null
   done
   cmp "build/determinism_${dev}_1.json" "build/determinism_${dev}_2.json"
+  cmp "build/determinism_${dev}_1.json" "tests/golden/perf_device_${dev}.json"
 done
 
 echo "== jit gate: differential layer + compiled-engine CLI smoke =="

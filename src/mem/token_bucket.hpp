@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 
@@ -31,6 +32,13 @@ class TokenBucket {
   /// Advances time by one cycle, accruing credit.
   void tick() { credit_ = std::min(cap_, credit_ + rate_); }
 
+  /// Advances time by `cycles` cycles: tick() that many times, stopping
+  /// early once credit reaches the cap, where further ticks change nothing.
+  /// A closed-form `rate * cycles` would round differently.
+  void tick(std::uint64_t cycles) {
+    for (; cycles > 0 && credit_ < cap_; --cycles) tick();
+  }
+
   /// Unconditionally withdraws `bytes`, letting credit go negative, and
   /// returns how many cycles the requester's data is delayed until the debt
   /// is repaid by refill. This models a memory system with outstanding-miss
@@ -41,6 +49,9 @@ class TokenBucket {
     credit_ -= bytes;
     return credit_ >= 0.0 ? 0.0 : -credit_ / rate_;
   }
+
+  /// Unused credit in bytes; negative while withdrawals are in debt.
+  [[nodiscard]] double credit() const { return credit_; }
 
  private:
   double rate_;

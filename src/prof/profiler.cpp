@@ -104,18 +104,19 @@ void Profiler::on_issue(int partition, int warp, int pc, const sass::Instruction
   }
 }
 
-void Profiler::on_warp_stall(int warp, int pc, StallReason reason) {
-  ++pc_counters_[static_cast<std::size_t>(pc)].stall_cycles[static_cast<int>(reason)];
-  ++warp_counters_[static_cast<std::size_t>(warp)].stall_cycles[static_cast<int>(reason)];
+void Profiler::on_warp_stall(int warp, int pc, StallReason reason, std::uint64_t cycles) {
+  pc_counters_[static_cast<std::size_t>(pc)].stall_cycles[static_cast<int>(reason)] += cycles;
+  warp_counters_[static_cast<std::size_t>(warp)].stall_cycles[static_cast<int>(reason)] += cycles;
 }
 
-void Profiler::on_sched_cycle(int partition, bool issued, StallReason dominant) {
+void Profiler::on_sched_cycle(int partition, bool issued, StallReason dominant,
+                              std::uint64_t cycles) {
   auto& s = counters_.sched[static_cast<std::size_t>(partition)];
   if (issued) {
-    ++s.issue_cycles;
+    s.issue_cycles += cycles;
   } else {
-    ++s.idle_cycles;
-    ++s.idle_by_reason[static_cast<int>(dominant)];
+    s.idle_cycles += cycles;
+    s.idle_by_reason[static_cast<int>(dominant)] += cycles;
   }
 }
 

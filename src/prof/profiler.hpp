@@ -50,10 +50,11 @@ class Profiler {
 
   void on_issue(int partition, int warp, int pc, const sass::Instruction& inst,
                 std::uint64_t now, int occupancy, int stall);
-  /// One warp-cycle spent blocked at `pc` for `reason`.
-  void on_warp_stall(int warp, int pc, StallReason reason);
-  /// One scheduler cycle of partition `p`; `dominant` attributes idle cycles.
-  void on_sched_cycle(int partition, bool issued, StallReason dominant);
+  /// `cycles` warp-cycles spent blocked at `pc` for `reason`.
+  void on_warp_stall(int warp, int pc, StallReason reason, std::uint64_t cycles);
+  /// `cycles` scheduler cycles of partition `p`; `dominant` attributes idle
+  /// cycles. The engine charges a skipped idle stretch in one call.
+  void on_sched_cycle(int partition, bool issued, StallReason dominant, std::uint64_t cycles);
 
   /// A memory instruction issued into the MIO queue (footprint accounting).
   void on_mem_issue(bool is_global, bool is_store, int active_lanes, int width_bytes);

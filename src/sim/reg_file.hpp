@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -33,17 +34,23 @@ class WarpRegs {
   /// Schedules a write that becomes visible at `due_cycle`.
   void write_at(sass::Reg r, int lane, std::uint32_t value, std::uint64_t due_cycle);
 
-  /// Commits all pending writes with due_cycle <= now.
+  /// Commits all pending writes with due_cycle <= now, in the order they
+  /// were scheduled: of two due writes to one register lane, the later one
+  /// wins, whatever their due cycles.
   void settle(std::uint64_t now);
 
   /// Commits everything regardless of due time (end of functional step).
   void settle_all();
 
+  /// Earliest due cycle of a pending write; kNoPendingWrite when none is.
+  [[nodiscard]] std::uint64_t next_due() const { return earliest_due_; }
+  static constexpr std::uint64_t kNoPendingWrite = std::numeric_limits<std::uint64_t>::max();
+
   [[nodiscard]] bool read_pred(sass::Pred p, int lane) const;
   void write_pred(sass::Pred p, int lane, bool value);
 
-  /// True when a pending (not yet visible) write to r exists — used by the
-  /// timing engine to detect writeback-port reuse, and by tests.
+  /// True when a pending (not yet visible) write to r exists. Only tests
+  /// call it; it scans the whole queue.
   [[nodiscard]] bool has_pending(sass::Reg r) const;
 
   /// Direct lane-row access for the JIT backend. Valid only while no write
@@ -63,15 +70,29 @@ class WarpRegs {
 
  private:
   struct Pending {
-    std::uint64_t due;
     std::uint8_t reg;
     std::uint8_t lane;
     std::uint32_t value;
   };
+  /// Writes pending_[begin, end), scheduled one after another with one due
+  /// cycle — typically all lanes of one instruction's result.
+  struct Run {
+    std::uint64_t due;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  void commit(const Run& run);
+  void compact();
 
   std::array<std::array<std::uint32_t, kWarpSize>, 255> gpr_{};
   std::array<std::uint32_t, 8> pred_{};  // bitmask per predicate; P7 forced to all-ones
+  // The writeback queue. settle() visits runs, not writes, and returns at
+  // once while nothing is due; entries of committed runs are dropped from
+  // pending_ lazily, once they are the majority.
   std::vector<Pending> pending_;
+  std::vector<Run> runs_;  // in scheduling order
+  std::uint64_t earliest_due_ = kNoPendingWrite;
 };
 
 }  // namespace tc::sim

@@ -1,6 +1,7 @@
 #include "sim/timed_device.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -73,24 +74,30 @@ DeviceResult TimedDevice::run(const Launch& launch) {
     sms.back()->begin(launch, source, cfg_.ctas_per_sm);
   }
 
-  // Lockstep: every SM advances exactly one cycle per round, so cross-SM
-  // arbitration order is cycle-exact and reproducible. The round's start
-  // index rotates each cycle — the shared buckets serve same-cycle requests
-  // in call order, and a fixed order would hand SM0 a standing bandwidth
-  // priority (measured: ~9-13% per-SM finish spread on DRAM-bound kernels at
-  // an exactly integral wave).
-  bool any = true;
-  std::uint64_t round = 0;
-  while (any) {
+  // Lockstep in simulated time: at cycle c the SMs step in rotating order
+  // starting at SM c mod N, so cross-SM arbitration order is cycle-exact and
+  // reproducible — the shared buckets serve same-cycle requests in call
+  // order, and a fixed order would hand SM0 a standing bandwidth priority
+  // (measured: ~9-13% per-SM finish spread on DRAM-bound kernels at an
+  // exactly integral wave). Only SMs with an event at c step: an idle SM
+  // touches no shared state, so it sits out until its idle_until() and then
+  // catches its clock up with skip_to(), which leaves the order among the
+  // SMs that do step unchanged. The clock then jumps to the next event.
+  std::uint64_t cycle = 0;
+  for (bool any = true; any;) {
     any = false;
+    std::uint64_t next = std::numeric_limits<std::uint64_t>::max();
     for (int i = 0; i < sms_used; ++i) {
-      auto& sm = sms[static_cast<std::size_t>((i + round) % sms_used)];
-      if (!sm->done()) {
-        sm->step();
-        any = true;
+      TimedSm& sm = *sms[static_cast<std::size_t>((i + cycle) % sms_used)];
+      if (sm.done()) continue;
+      if (sm.idle_until() <= cycle) {
+        sm.skip_to(cycle);
+        if (!sm.step()) continue;
       }
+      any = true;
+      next = std::min(next, sm.idle_until());
     }
-    ++round;
+    cycle = next;
   }
 
   DeviceResult res;

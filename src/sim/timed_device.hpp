@@ -8,10 +8,12 @@
 // inter-CTA L2 reuse — all emerge here from simulation, which is what makes
 // this engine the validation oracle for the model (tests/test_device_xval).
 //
-// Determinism: every SM advances exactly one cycle per lockstep round, on one
-// host thread, so cross-SM arbitration (shared-bucket withdrawals, L2 tag
-// probes, CTA hand-out) happens in one reproducible order and a launch has
-// exactly one result. The round's start SM rotates every cycle (see run()).
+// Determinism: the SMs run in lockstep on one host thread, one cycle at a
+// time, so cross-SM arbitration (shared-bucket withdrawals, L2 tag probes,
+// CTA hand-out) happens in one reproducible order and a launch has exactly
+// one result. At cycle c the SMs step in rotating order from SM c mod N;
+// an SM with nothing to do at c sits the cycle out and catches up later
+// (TimedSm::skip_to), which no other SM can observe (see run()).
 #pragma once
 
 #include <cstdint>

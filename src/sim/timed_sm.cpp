@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <limits>
 #include <memory>
 
 #include "common/error.hpp"
@@ -103,6 +104,10 @@ constexpr WarpState kWarpDead = 255;
 
 constexpr WarpState blocked_by(prof::StallReason r) { return static_cast<WarpState>(r); }
 
+// idle_until of an idle SM with nothing pending: it is deadlocked, and
+// skip_to runs it into max_cycles.
+constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
+
 }  // namespace
 
 struct TimedSm::Impl {
@@ -140,6 +145,9 @@ struct TimedSm::Impl {
   TimedStats stats;
   CaptureSink sink;
   std::uint64_t now = 0;
+  // The next cycle step_cycle must run: now after a cycle that changed
+  // something, the earliest wake-up after an idle one (see skip_to).
+  std::uint64_t idle_until = 0;
   bool running = false;
 
   Impl(TimedConfig c, mem::GlobalMemory& g)
@@ -155,12 +163,12 @@ struct TimedSm::Impl {
   // Round-robin partition assignment by global warp index, as on hardware.
   [[nodiscard]] int partition_of(int w) const { return w % partitions; }
 
-  void settle_warp(TWarp& w) {
-    w.regs.settle(now);
+  void settle_warp(TWarp& w, std::uint64_t cycle) {
+    w.regs.settle(cycle);
     if (!w.pending_preds.empty()) {
       auto keep = w.pending_preds.begin();
       for (auto it = w.pending_preds.begin(); it != w.pending_preds.end(); ++it) {
-        if (it->due <= now) {
+        if (it->due <= cycle) {
           w.regs.write_pred(it->w.pred, it->w.lane, it->w.value);
         } else {
           *keep++ = *it;
@@ -168,6 +176,13 @@ struct TimedSm::Impl {
       }
       w.pending_preds.erase(keep, w.pending_preds.end());
     }
+  }
+
+  /// Earliest cycle at which settle_warp would commit a write of w.
+  [[nodiscard]] static std::uint64_t next_due(const TWarp& w) {
+    std::uint64_t due = w.regs.next_due();
+    for (const auto& pp : w.pending_preds) due = std::min(due, pp.due);
+    return due;
   }
 
   /// Classifies one global access: which bytes come from L1/L2/DRAM, what
@@ -293,6 +308,7 @@ struct TimedSm::Impl {
     stats = TimedStats{};
     forced_l2_accum = 0.0;
     now = 0;
+    idle_until = 0;
     running = true;
   }
 
@@ -359,12 +375,18 @@ struct TimedSm::Impl {
   /// when it can issue into partition `p` now, otherwise the reason it
   /// cannot, tested in order: BAR.SYNC, stall-count window, scoreboard wait,
   /// then target pipe or MIO-queue space. Settles the warp's due writebacks
-  /// first, which is time-driven and idempotent.
-  WarpState warp_state_of(TWarp& w, int p) {
+  /// first, which is time-driven and idempotent. A warp blocked until a
+  /// known cycle — the end of its stall-count window or of its pipe's
+  /// occupancy — lowers `wake` to that cycle; the other blockers end only
+  /// through an event step_cycle tracks itself.
+  WarpState warp_state_of(TWarp& w, int p, std::uint64_t& wake) {
     if (w.exited) return kWarpDead;
     if (w.at_barrier) return blocked_by(prof::StallReason::kBarrier);
-    if (w.ready_cycle > now) return blocked_by(prof::StallReason::kStallCount);
-    settle_warp(w);
+    if (w.ready_cycle > now) {
+      wake = std::min(wake, w.ready_cycle);
+      return blocked_by(prof::StallReason::kStallCount);
+    }
+    settle_warp(w, now);
     const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
     for (int b = 0; b < sass::kNumBarriers; ++b) {
       if (((inst.ctrl.wait_mask >> b) & 1) && w.scoreboard[b] > 0) {
@@ -372,17 +394,17 @@ struct TimedSm::Impl {
       }
     }
     const auto pi = static_cast<std::size_t>(p);
-    bool free = true;
+    std::uint64_t free_at = 0;
     switch (sass::pipe_class(inst.op)) {
       case sass::PipeClass::kTensor:
-        free = tensor_free[pi] <= now;
+        free_at = tensor_free[pi];
         break;
       case sass::PipeClass::kFma:
-        free = fma_free[pi] <= now;
+        free_at = fma_free[pi];
         break;
       case sass::PipeClass::kAlu:
       case sass::PipeClass::kSpecial:
-        free = alu_free[pi] <= now;
+        free_at = alu_free[pi];
         break;
       case sass::PipeClass::kMio:
         if (mio_queue.size() >= kMioQueueDepth) {
@@ -392,7 +414,36 @@ struct TimedSm::Impl {
       case sass::PipeClass::kControl:
         break;
     }
-    return free ? kWarpEligible : blocked_by(prof::StallReason::kPipeBusy);
+    if (free_at <= now) return kWarpEligible;
+    wake = std::min(wake, free_at);
+    return blocked_by(prof::StallReason::kPipeBusy);
+  }
+
+  /// Profiling: charges every live warp of partition p except `issued_warp`
+  /// `cycles` stall cycles at its PC, for the reason the pre-pass recorded in
+  /// warp_state, and returns the reason most of them share — what an idle
+  /// scheduler cycle is attributed to (kNoInstruction when none is live).
+  prof::StallReason charge_stalls(int p, int issued_warp, std::uint64_t cycles) {
+    std::array<std::uint32_t, prof::kNumStallReasons> reason_count{};
+    for (int wi = 0; wi < num_warps; ++wi) {
+      if (partition_of(wi) != p) continue;
+      const WarpState state = warp_state[static_cast<std::size_t>(wi)];
+      if (state == kWarpDead || wi == issued_warp) continue;
+      const auto reason = state == kWarpEligible ? prof::StallReason::kNotSelected
+                                                 : static_cast<prof::StallReason>(state);
+      // Non-issued warps did not move, so w.pc is still the blocked PC.
+      prof->on_warp_stall(wi, warps[static_cast<std::size_t>(wi)]->pc, reason, cycles);
+      ++reason_count[static_cast<std::size_t>(reason)];
+    }
+    auto dominant = prof::StallReason::kNoInstruction;
+    std::uint32_t best = 0;
+    for (int r = 0; r < prof::kNumStallReasons; ++r) {
+      if (reason_count[static_cast<std::size_t>(r)] > best) {
+        best = reason_count[static_cast<std::size_t>(r)];
+        dominant = static_cast<prof::StallReason>(r);
+      }
+    }
+    return dominant;
   }
 
   void step_cycle() {
@@ -401,6 +452,11 @@ struct TimedSm::Impl {
       dram_bw.tick();
       l2_bw.tick();
     }
+    // Whether this cycle changes anything but the clock, the private
+    // buckets, due writebacks and the profiler's attribution; and the
+    // earliest cycle a blocked warp can wake up by itself.
+    bool changed = false;
+    std::uint64_t wake = kNoEvent;
 
     // --- scoreboard releases -----------------------------------------------
     if (!releases.empty()) {
@@ -414,6 +470,7 @@ struct TimedSm::Impl {
           *keep++ = *it;
         }
       }
+      changed |= keep != releases.end();
       releases.erase(keep, releases.end());
     }
 
@@ -427,6 +484,7 @@ struct TimedSm::Impl {
           *keep++ = *it;
         }
       }
+      changed |= keep != mshr_release.end();
       mshr_release.erase(keep, mshr_release.end());
     }
 
@@ -440,6 +498,7 @@ struct TimedSm::Impl {
           classify_smem(op);
         }
         op.classified = true;
+        changed = true;
       }
       // Global requests occupy an MSHR until their data returns; when all
       // MSHRs are busy the LSU stalls (this backpressure is what the paper's
@@ -447,6 +506,7 @@ struct TimedSm::Impl {
       const bool mshr_ok = !op.access.is_global || op.access.is_store ||
                            op.port_bytes == 0.0 || outstanding < cfg.spec.mshr_limit;
       if (mshr_ok) {
+        changed = true;
         const auto cost_cycles = static_cast<std::uint64_t>(op.cost + 0.999);
         mio_free = now + cost_cycles;
         stats.mio_busy += cost_cycles;
@@ -513,7 +573,7 @@ struct TimedSm::Impl {
         for (int wi = 0; wi < num_warps; ++wi) {
           if (partition_of(wi) != p) continue;
           warp_state[static_cast<std::size_t>(wi)] =
-              warp_state_of(*warps[static_cast<std::size_t>(wi)], p);
+              warp_state_of(*warps[static_cast<std::size_t>(wi)], p, wake);
         }
       }
 
@@ -525,7 +585,7 @@ struct TimedSm::Impl {
         const int wi = (rr[static_cast<std::size_t>(p)] + probe) % num_warps;
         if (partition_of(wi) != p) continue;
         TWarp& w = *warps[static_cast<std::size_t>(wi)];
-        if (warp_state_of(w, p) != kWarpEligible) continue;
+        if (warp_state_of(w, p, wake) != kWarpEligible) continue;
 
         // --- issue ----------------------------------------------------------
         const auto& inst = prog->code[static_cast<std::size_t>(w.pc)];
@@ -636,42 +696,19 @@ struct TimedSm::Impl {
       }
       if (issued_warp >= 0) {
         rr[static_cast<std::size_t>(p)] = (issued_warp + 1) % num_warps;
+        changed = true;
       }
 
-      // Profiling post-pass: report the issue, charge each blocked warp one
-      // stall cycle at its current PC, and attribute this scheduler cycle.
+      // Profiling post-pass: charge each blocked warp one stall cycle at its
+      // current PC, report the issue, and attribute this scheduler cycle.
       if (prof != nullptr) {
-        std::array<std::uint32_t, prof::kNumStallReasons> reason_count{};
-        int live = 0;
-        for (int wi = 0; wi < num_warps; ++wi) {
-          if (partition_of(wi) != p) continue;
-          const WarpState state = warp_state[static_cast<std::size_t>(wi)];
-          if (state == kWarpDead) continue;
-          ++live;
-          if (wi == issued_warp) continue;
-          const auto reason = state == kWarpEligible
-                                  ? prof::StallReason::kNotSelected
-                                  : static_cast<prof::StallReason>(state);
-          // Non-issued warps did not move, so w.pc is still the blocked PC.
-          prof->on_warp_stall(wi, warps[static_cast<std::size_t>(wi)]->pc, reason);
-          ++reason_count[static_cast<std::size_t>(reason)];
-        }
+        const prof::StallReason dominant = charge_stalls(p, issued_warp, 1);
         if (issued_warp >= 0) {
           prof->on_issue(p, issued_warp, issued_pc, *issued_inst, now,
                          pipe_occupancy(*issued_inst), issued_inst->ctrl.stall);
-          prof->on_sched_cycle(p, true, prof::StallReason::kNoInstruction);
+          prof->on_sched_cycle(p, true, prof::StallReason::kNoInstruction, 1);
         } else {
-          auto dominant = prof::StallReason::kNoInstruction;
-          std::uint32_t best = 0;
-          if (live > 0) {
-            for (int r = 0; r < prof::kNumStallReasons; ++r) {
-              if (reason_count[static_cast<std::size_t>(r)] > best) {
-                best = reason_count[static_cast<std::size_t>(r)];
-                dominant = static_cast<prof::StallReason>(r);
-              }
-            }
-          }
-          prof->on_sched_cycle(p, false, dominant);
+          prof->on_sched_cycle(p, false, dominant, 1);
         }
       }
     }
@@ -686,6 +723,7 @@ struct TimedSm::Impl {
           }
         }
         cta.arrived = 0;
+        changed = true;
       }
       TC_CHECK(!(cta.alive_warps == 0 && cta.arrived > 0),
                "deadlock: warps wait at BAR.SYNC in an exited CTA");
@@ -704,10 +742,57 @@ struct TimedSm::Impl {
         }
         // Source drained: the slot stays empty for the rest of the run.
       }
+      changed |= keep != free_slots.end();
       free_slots.erase(keep, free_slots.end());
     }
 
+    // --- next event ----------------------------------------------------------
+    // A cycle that changed nothing leaves every warp blocked for the same
+    // reason until the earliest of: a warp's own wake-up, a scoreboard
+    // release, an MSHR retirement, or the MIO unit freeing up for a queued
+    // op (one that waits on an MSHR instead waits for a retirement). Until
+    // then each cycle repeats this one, which skip_to replays.
+    if (changed) {
+      idle_until = now + 1;
+    } else {
+      for (const auto& r : releases) wake = std::min(wake, r.due);
+      for (const auto due : mshr_release) wake = std::min(wake, due);
+      if (!mio_queue.empty() && mio_free > now) wake = std::min(wake, mio_free);
+      idle_until = wake;
+    }
     ++now;
+  }
+
+  /// Advances the clock to `cycle` (clamped to max_cycles, so a deadlocked
+  /// run still fails in step_cycle) through cycles that repeat the last,
+  /// idle one — cycle <= idle_until — replaying what step_cycle would have
+  /// done in them, bit for bit: the private buckets' per-cycle refill, the
+  /// writeback commits of every warp warp_state_of gets to settle, and the
+  /// profiler's stall attribution, charged in bulk.
+  void skip_to(std::uint64_t cycle) {
+    cycle = std::min(cycle, cfg.max_cycles);
+    if (cycle <= now) return;
+    TC_CHECK(cycle <= idle_until, "skip_to past idle_until(): those cycles are not idle");
+    const std::uint64_t cycles = cycle - now;
+    if (cfg.shared == nullptr) {
+      dram_bw.tick(cycles);
+      l2_bw.tick(cycles);
+    }
+    if (prof != nullptr) {
+      for (int p = 0; p < partitions; ++p) {
+        prof->on_sched_cycle(p, false, charge_stalls(p, -1, cycles), cycles);
+      }
+    }
+    // warp_state_of settles a warp once per cycle unless it is dead, at a
+    // barrier or inside its stall-count window, none of which changes
+    // inside the window; settling at each due cycle commits the same writes
+    // in the same order as settling every cycle.
+    for (auto& wptr : warps) {
+      TWarp& w = *wptr;
+      if (w.exited || w.at_barrier || w.ready_cycle > now) continue;
+      for (std::uint64_t due = next_due(w); due < cycle; due = next_due(w)) settle_warp(w, due);
+    }
+    now = cycle;
   }
 
   TimedStats finish() {
@@ -743,7 +828,10 @@ TimedSm::~TimedSm() = default;
 
 TimedStats TimedSm::run(const Launch& launch, std::span<const CtaCoord> ctas) {
   impl_->begin(launch, ctas, nullptr);
-  while (!impl_->is_done()) impl_->step_cycle();
+  while (!impl_->is_done()) {
+    impl_->skip_to(impl_->idle_until);
+    impl_->step_cycle();
+  }
   return impl_->finish();
 }
 
@@ -768,6 +856,10 @@ bool TimedSm::step() {
 bool TimedSm::done() const { return impl_->is_done(); }
 
 std::uint64_t TimedSm::now() const { return impl_->now; }
+
+std::uint64_t TimedSm::idle_until() const { return impl_->idle_until; }
+
+void TimedSm::skip_to(std::uint64_t cycle) { impl_->skip_to(cycle); }
 
 TimedStats TimedSm::finish() { return impl_->finish(); }
 

@@ -218,21 +218,33 @@ class TimedSm {
 
   /// Runs the given resident CTAs of `launch` to completion and returns
   /// cycle-level statistics. Functional side effects (global stores) are
-  /// applied to the bound GlobalMemory.
+  /// applied to the bound GlobalMemory. Idle stretches are skipped (see
+  /// skip_to), with the result of stepping every cycle.
   TimedStats run(const Launch& launch, std::span<const CtaCoord> ctas);
 
   /// Steppable interface, used by sim::TimedDevice to interleave several SMs
   /// cycle-by-cycle on shared memory-system state. `begin` fills up to
   /// `resident_ctas` CTA slots from `source`; each retired CTA's slot is
   /// refilled from `source` until it is drained (dynamic refill, like the
-  /// GigaThread engine — not wave-by-wave). `step` advances one cycle and
-  /// returns false once the SM has drained; `finish` flushes writebacks and
-  /// returns the stats. run() == begin + step-until-done + finish.
+  /// GigaThread engine — not wave-by-wave). `step` advances exactly one
+  /// cycle and returns false once the SM has drained; `finish` flushes
+  /// writebacks and returns the stats. Stepping until done is the lockstep
+  /// reference the event skip below is held to.
   void begin(const Launch& launch, CtaSource& source, int resident_ctas);
   bool step();
   [[nodiscard]] bool done() const;
   [[nodiscard]] std::uint64_t now() const;
   TimedStats finish();
+
+  /// Event skip. After a step in which nothing but the clock changed (no
+  /// issue, memory service, scoreboard or MSHR release, barrier release or
+  /// slot refill), the cycles up to idle_until() would repeat it; otherwise
+  /// idle_until() == now(). skip_to(c), for c <= idle_until(), advances now()
+  /// to c with exactly the effect of stepping through those cycles. Idle
+  /// cycles touch no state shared with other SMs, so a driver may leave an
+  /// SM behind until its idle_until() and catch it up then.
+  [[nodiscard]] std::uint64_t idle_until() const;
+  void skip_to(std::uint64_t cycle);
 
  private:
   struct Impl;

@@ -39,8 +39,14 @@
 // (L2 hit rate, DRAM traffic, tensor utilization, tail imbalance).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/config.hpp"
 #include "core/kernel_gen.hpp"
 #include "core/profile.hpp"
@@ -48,6 +54,7 @@
 #include "mem/global_mem.hpp"
 #include "model/validate.hpp"
 #include "sim/timed_device.hpp"
+#include "support/timed_results.hpp"
 
 namespace tc {
 namespace {
@@ -274,61 +281,194 @@ TEST(DeviceXval, SubWaveGridPrimesEverySm) {
   for (const auto& s : ores.per_sm) EXPECT_GT(s.instructions, 0u);
 }
 
-void expect_same_stats(const sim::TimedStats& a, const sim::TimedStats& b) {
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.instructions, b.instructions);
-  EXPECT_EQ(a.hmma_count, b.hmma_count);
-  EXPECT_EQ(a.tensor_busy, b.tensor_busy);
-  EXPECT_EQ(a.fma_busy, b.fma_busy);
-  EXPECT_EQ(a.alu_busy, b.alu_busy);
-  EXPECT_EQ(a.mio_busy, b.mio_busy);
-  EXPECT_EQ(a.mio_bw_stall, b.mio_bw_stall);
-  EXPECT_EQ(a.l1_bytes, b.l1_bytes);
-  EXPECT_EQ(a.l2_bytes, b.l2_bytes);
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-  EXPECT_EQ(a.smem_beats, b.smem_beats);
-  EXPECT_EQ(a.smem_phases, b.smem_phases);
+/// TimedDevice::run as it was before event skip, over the public TimedSm
+/// API: one TimedSm per SM on a SharedMemSystem, every SM stepping every
+/// cycle, the round's first SM rotating with the cycle. The oracle the
+/// event-skipping device is held to.
+sim::DeviceResult run_lockstep_device(const sim::TimedDeviceConfig& dc,
+                                      mem::GlobalMemory& gmem, const sim::Launch& launch) {
+  const auto per_sm = static_cast<std::uint64_t>(dc.ctas_per_sm);
+  const int sms_used = static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(dc.spec.num_sms), (launch.num_ctas() + per_sm - 1) / per_sm));
+  const std::unique_ptr<sim::CtaSource> source = sim::make_cta_source(launch);
+  sim::SharedMemSystem shared(dc.spec);
+  std::vector<std::unique_ptr<sim::TimedSm>> sms;
+  for (int i = 0; i < sms_used; ++i) {
+    sim::TimedConfig tc;
+    tc.spec = dc.spec;
+    tc.skip_mma_math = dc.skip_mma_math;
+    tc.forced_l2_hit_rate = dc.forced_l2_hit_rate;
+    tc.shared = &shared;
+    tc.sm_id = i;
+    sms.push_back(std::make_unique<sim::TimedSm>(tc, gmem));
+    sms.back()->begin(launch, *source, dc.ctas_per_sm);
+  }
+  for (std::uint64_t round = 0, any = 1; any != 0; ++round) {
+    any = 0;
+    for (int i = 0; i < sms_used; ++i) {
+      auto& sm = sms[static_cast<std::size_t>((i + round) % sms_used)];
+      if (!sm->done()) {
+        sm->step();
+        any = 1;
+      }
+    }
+  }
+  sim::DeviceResult res;
+  res.sms_used = sms_used;
+  for (auto& sm : sms) {
+    const sim::TimedStats s = sm->finish();
+    res.per_sm.push_back(s);
+    res.device_cycles = std::max(res.device_cycles, s.cycles);
+    res.total.instructions += s.instructions;
+    res.total.hmma_count += s.hmma_count;
+    res.total.tensor_busy += s.tensor_busy;
+    res.total.fma_busy += s.fma_busy;
+    res.total.alu_busy += s.alu_busy;
+    res.total.mio_busy += s.mio_busy;
+    res.total.mio_bw_stall += s.mio_bw_stall;
+    res.total.l1_bytes += s.l1_bytes;
+    res.total.l2_bytes += s.l2_bytes;
+    res.total.dram_bytes += s.dram_bytes;
+    res.total.smem_beats += s.smem_beats;
+    res.total.smem_phases += s.smem_phases;
+  }
+  res.total.cycles = res.device_cycles;
+  res.l2_hit_rate = dc.forced_l2_hit_rate >= 0.0 ? dc.forced_l2_hit_rate : shared.l2_hit_rate();
+  res.ctas_run = source->issued();
+  return res;
+}
+
+void expect_same_result(const sim::DeviceResult& a, const sim::DeviceResult& b) {
+  EXPECT_EQ(a.device_cycles, b.device_cycles);
+  EXPECT_EQ(a.l2_hit_rate, b.l2_hit_rate);
+  EXPECT_EQ(a.ctas_run, b.ctas_run);
+  EXPECT_EQ(a.sms_used, b.sms_used);
+  ASSERT_EQ(a.per_sm.size(), b.per_sm.size());
+  for (std::size_t i = 0; i < a.per_sm.size(); ++i) {
+    SCOPED_TRACE("SM " + std::to_string(i));
+    testsupport::expect_same_stats(a.per_sm[i], b.per_sm[i]);
+  }
+  testsupport::expect_same_stats(a.total, b.total);
+}
+
+/// One device launch of `prog` over `shape` with random A and B^T, run by
+/// TimedDevice::run or by the lockstep oracle; returns the result and the
+/// bytes of C.
+std::pair<sim::DeviceResult, std::vector<std::uint8_t>> run_device(
+    const sass::Program& prog, const core::HgemmConfig& cfg, const GemmShape& shape,
+    sim::LaunchOrder order, const sim::TimedDeviceConfig& dc, bool lockstep) {
+  mem::GlobalMemory gmem;
+  sim::Launch launch;
+  launch.program = &prog;
+  launch.grid_x = static_cast<std::uint32_t>(shape.n / static_cast<std::size_t>(cfg.bn));
+  launch.grid_y = static_cast<std::uint32_t>(shape.m / static_cast<std::size_t>(cfg.bm));
+  launch.launch_order = order;
+  launch.supertile_width = 2;
+  Rng rng(5);
+  for (const std::size_t elems : {shape.m * shape.k, shape.n * shape.k}) {
+    std::vector<std::uint8_t> bytes(elems * 2);
+    for (std::size_t i = 0; i < elems; ++i) {
+      const std::uint16_t bits = rng.next_half(-0.5f, 0.5f).bits();
+      bytes[2 * i] = static_cast<std::uint8_t>(bits & 0xFF);
+      bytes[2 * i + 1] = static_cast<std::uint8_t>(bits >> 8);
+    }
+    launch.params.push_back(gmem.alloc(bytes.size()));
+    gmem.write(launch.params.back(), bytes);
+  }
+  launch.params.push_back(gmem.alloc(shape.m * shape.n * 2));
+  sim::DeviceResult res;
+  if (lockstep) {
+    res = run_lockstep_device(dc, gmem, launch);
+  } else {
+    sim::TimedDevice dev(dc, gmem);
+    res = dev.run(launch);
+  }
+  std::vector<std::uint8_t> c(shape.m * shape.n * 2);
+  gmem.read(launch.params[2], c);
+  return {std::move(res), std::move(c)};
 }
 
 TEST(DeviceXval, LockstepRunsAreBitwiseRepeatable) {
-  // One launch has one result: two runs agree on every DeviceResult field.
-  // An emergent-L2, DRAM-bound grid (cublas_like on T4, two CTAs per SM)
-  // exercises the shared L2 tag array and both shared bandwidth buckets
-  // under contention; the Hilbert order adds the OrderedCtaSource.
+  // One launch has one result. TimedDevice::run steps an SM only in cycles
+  // where something happens on it; it must equal stepping every SM every
+  // cycle on every DeviceResult field, and repeat itself.
+  //
+  // Timing-only runs cover both configs on both specs in row-major,
+  // supertile and Hilbert order, with the emergent shared L2 and a forced
+  // hit rate, on grids of 8 to 16 SMs. One grid per config outnumbers the
+  // device's resident slots, so CTA hand-out between SMs is exercised too.
+  // Full-math runs (emergent L2, Hilbert order) also compare C.
+  struct Case {
+    device::DeviceSpec spec;
+    core::HgemmConfig cfg;
+    GemmShape shape;
+    sim::LaunchOrder order;
+    double forced_l2;
+    bool full_math;
+  };
+  const auto opt = core::HgemmConfig::optimized();
+  const auto cub = core::HgemmConfig::cublas_like();
+  const GemmShape opt_grid{512, 1024, 64};   // 2 x 4 CTAs, one per SM
+  const GemmShape cub_grid{256, 1024, 128};  // 2 x 8 CTAs, two per SM
+  std::vector<Case> cases;
+  for (const auto& spec : {device::rtx2070(), device::t4()}) {
+    for (const auto order : {sim::LaunchOrder::kRowMajor, sim::LaunchOrder::kSupertile,
+                             sim::LaunchOrder::kHilbert}) {
+      for (const double l2 : {-1.0, 0.5}) {
+        cases.push_back({spec, opt, opt_grid, order, l2, false});
+        cases.push_back({spec, cub, cub_grid, order, l2, false});
+      }
+    }
+    cases.push_back({spec, opt, {512, 512, 64}, sim::LaunchOrder::kHilbert, -1.0, true});
+    cases.push_back({spec, cub, {256, 512, 128}, sim::LaunchOrder::kHilbert, -1.0, true});
+  }
+  const std::size_t first_refill = cases.size();
+  cases.push_back({device::rtx2070(), opt, {1536, 2048, 64}, sim::LaunchOrder::kRowMajor, -1.0,
+                   false});  // 48 CTAs, 36 slots
+  cases.push_back({device::t4(), cub, {1024, 1536, 128}, sim::LaunchOrder::kHilbert, 0.5,
+                   false});  // 96 CTAs, 80 slots
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Case& c = cases[i];
+    SCOPED_TRACE(c.cfg.name() + " on " + c.spec.name + " at " + std::to_string(c.shape.m) + "x" +
+                 std::to_string(c.shape.n) + "x" + std::to_string(c.shape.k) + ", order " +
+                 std::to_string(static_cast<int>(c.order)) + ", forced L2 " +
+                 std::to_string(c.forced_l2) + (c.full_math ? ", full math" : ""));
+    const sass::Program prog = core::hgemm_kernel(c.cfg, c.shape);
+    sim::TimedDeviceConfig dc;
+    dc.spec = c.spec;
+    dc.ctas_per_sm = device::occupancy(c.spec, prog).ctas_per_sm;
+    dc.skip_mma_math = !c.full_math;
+    dc.forced_l2_hit_rate = c.forced_l2;
+    const auto [want, want_c] = run_device(prog, c.cfg, c.shape, c.order, dc, true);
+    const auto [got, got_c] = run_device(prog, c.cfg, c.shape, c.order, dc, false);
+    expect_same_result(want, got);
+    if (c.full_math) EXPECT_TRUE(want_c == got_c) << "C differs";
+    const std::uint64_t ctas = (c.shape.m / static_cast<std::size_t>(c.cfg.bm)) *
+                               (c.shape.n / static_cast<std::size_t>(c.cfg.bn));
+    EXPECT_EQ(got.ctas_run, ctas);
+    EXPECT_GT(got.sms_used, 1);
+    const auto slots = static_cast<std::uint64_t>(c.spec.num_sms) *
+                       static_cast<std::uint64_t>(dc.ctas_per_sm);
+    EXPECT_EQ(ctas > slots, i >= first_refill);
+  }
+
+  // Two runs of one DRAM-bound, emergent-L2 grid (cublas_like on T4, two
+  // CTAs per SM) agree on every field: the shared L2 tag array and both
+  // shared bandwidth buckets under contention, and the OrderedCtaSource.
   const auto spec = device::t4();
   const auto cfg = core::HgemmConfig::cublas_like();
   const GemmShape shape{1024, 512, 128};  // 4 x 8 CTAs on 16 SMs
   const sass::Program prog = core::hgemm_kernel(cfg, shape);
-
-  auto run = [&](sim::LaunchOrder order, int threads) {
-    mem::GlobalMemory gmem;
-    sim::Launch launch;
-    launch.program = &prog;
-    launch.grid_x = static_cast<std::uint32_t>(shape.n / static_cast<std::size_t>(cfg.bn));
-    launch.grid_y = static_cast<std::uint32_t>(shape.m / static_cast<std::size_t>(cfg.bm));
-    launch.launch_order = order;
-    launch.params = {gmem.alloc(shape.m * shape.k * 2), gmem.alloc(shape.n * shape.k * 2),
-                     gmem.alloc(shape.m * shape.n * 2)};
-    sim::TimedDeviceConfig dc;
-    dc.spec = spec;
-    dc.ctas_per_sm = device::occupancy(spec, prog).ctas_per_sm;
-    dc.skip_mma_math = true;
-    dc.threads = threads;
-    sim::TimedDevice dev(dc, gmem);
-    return dev.run(launch);
-  };
-
+  sim::TimedDeviceConfig dc;
+  dc.spec = spec;
+  dc.ctas_per_sm = device::occupancy(spec, prog).ctas_per_sm;
+  dc.skip_mma_math = true;
   for (const auto order : {sim::LaunchOrder::kRowMajor, sim::LaunchOrder::kHilbert}) {
     SCOPED_TRACE(static_cast<int>(order));
-    const sim::DeviceResult a = run(order, 1);
-    const sim::DeviceResult b = run(order, 1);
-    EXPECT_EQ(a.device_cycles, b.device_cycles);
-    EXPECT_EQ(a.l2_hit_rate, b.l2_hit_rate);
-    EXPECT_EQ(a.ctas_run, b.ctas_run);
-    EXPECT_EQ(a.sms_used, b.sms_used);
-    ASSERT_EQ(a.per_sm.size(), b.per_sm.size());
-    for (std::size_t i = 0; i < a.per_sm.size(); ++i) expect_same_stats(a.per_sm[i], b.per_sm[i]);
-    expect_same_stats(a.total, b.total);
+    const auto a = run_device(prog, cfg, shape, order, dc, false).first;
+    const auto b = run_device(prog, cfg, shape, order, dc, false).first;
+    expect_same_result(a, b);
     // The run really shares the device: every SM fed, L2 hits emerge.
     EXPECT_EQ(a.ctas_run, 32u);
     EXPECT_GT(a.sms_used, 1);
@@ -337,8 +477,9 @@ TEST(DeviceXval, LockstepRunsAreBitwiseRepeatable) {
 
   // There is no multi-threaded device: a thread count other than 1 is an
   // error that names the field, not a silently ignored knob.
+  dc.threads = 2;
   try {
-    (void)run(sim::LaunchOrder::kRowMajor, 2);
+    (void)run_device(prog, cfg, shape, sim::LaunchOrder::kRowMajor, dc, false);
     ADD_FAILURE() << "threads = 2 was accepted";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("TimedDeviceConfig.threads"), std::string::npos)

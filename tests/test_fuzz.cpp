@@ -2,16 +2,25 @@
 // valid hazard-free programs, the runner must detect seeded executor-visible
 // races, the shrinker must preserve divergence, and the fixed-seed smoke run
 // (labelled fuzz_smoke in CTest) must show zero divergence between the
-// functional and timed executors.
+// functional and timed executors. The same programs, some with protections
+// stripped, also hold the timed engine's event skip to stepping every cycle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/hazard.hpp"
+#include "common/rng.hpp"
+#include "device/spec.hpp"
+#include "mem/global_mem.hpp"
+#include "prof/profiler.hpp"
 #include "sass/builder.hpp"
 #include "sass/validator.hpp"
+#include "sim/probe.hpp"
+#include "sim/timed_sm.hpp"
+#include "support/timed_results.hpp"
 
 namespace tc::check {
 namespace {
@@ -169,6 +178,100 @@ TEST(FuzzSmoke, NumericOperandsIdealizedSweep) {
 
 TEST(FuzzSmoke, NumericOperandsBitAccurateSweep) {
   run_numeric_mode_sweep(numerics::NumericsMode::kBitAccurate, /*base_seed=*/30001);
+}
+
+/// Everything one timed run of a fuzz case leaves behind, including how it
+/// ended: an exception's message (without its source position) and the cycle.
+struct TimedOutcome {
+  std::string error;
+  std::uint64_t now = 0;
+  sim::TimedStats stats;
+  prof::Profiler profiler;
+  sim::StateProbe probe;
+  std::vector<std::uint8_t> out;
+};
+
+/// Runs `c` on one SM with a per-SM bandwidth share and a forced L2 hit
+/// rate, either stepping every cycle or catching up with skip_to().
+void run_timed(const FuzzCase& c, bool skip, TimedOutcome& o) {
+  mem::GlobalMemory gmem;
+  const std::uint32_t in = gmem.alloc(c.in_bytes);
+  const std::uint32_t out = gmem.alloc(c.out_bytes);
+  gmem.write(in, std::span(c.in_data));
+  sim::Launch launch;
+  launch.program = &c.prog;
+  launch.params = {in, out};
+  o.probe.set_num_regs(c.prog.num_regs);
+  sim::TimedConfig cfg;
+  cfg.spec = device::rtx2070();
+  cfg.dram_bytes_per_cycle = cfg.spec.dram_bytes_per_cycle_per_sm();
+  cfg.l2_bytes_per_cycle = cfg.spec.l2_bytes_per_cycle_per_sm();
+  cfg.forced_l2_hit_rate = 0.3;
+  cfg.max_cycles = 200'000;
+  cfg.profiler = &o.profiler;
+  cfg.probe = &o.probe;
+  sim::TimedSm sm(cfg, gmem);
+  sim::GridCtaSource source(1, 1);
+  try {
+    sm.begin(launch, source, 1);
+    if (skip) {
+      do {
+        sm.skip_to(sm.idle_until());
+      } while (sm.step());
+    } else {
+      while (sm.step()) {
+      }
+    }
+    o.stats = sm.finish();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    o.error = what.substr(what.find(": ") + 2);
+  }
+  o.now = sm.now();
+  o.out.resize(c.out_bytes);
+  gmem.read(out, std::span(o.out));
+}
+
+TEST(FuzzSmoke, EventSkipMatchesSteppingEveryCycle) {
+  // Random control flow, predication, barriers and memory mixes under event
+  // skip. Half the cases keep the generator's protections; the other half
+  // lose some at random (a third of stall counts cut to 1-3 cycles, a fifth
+  // of scoreboard waits dropped), so register values hang on exactly when
+  // each writeback lands, and some runs end in an exception. Skipping must
+  // reproduce all of it: registers, memory, stats, profile, and where and
+  // how a run failed.
+  int failed_runs = 0;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    for (int variant = 0; variant < 4; ++variant) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", variant " + std::to_string(variant));
+      FuzzOptions opts;
+      opts.numeric_operands = (variant & 1) != 0;
+      FuzzCase c = generate_case(seed, opts);
+      if (variant >= 2) {
+        Rng rng(seed * 4 + static_cast<std::uint64_t>(variant));
+        for (auto& inst : c.prog.code) {
+          if (rng.next_below(3) == 0) {
+            inst.ctrl.stall = static_cast<std::uint8_t>(1 + rng.next_below(3));
+          }
+          if (rng.next_below(5) == 0) inst.ctrl.wait_mask = 0;
+        }
+      }
+      TimedOutcome step;
+      TimedOutcome skip;
+      run_timed(c, false, step);
+      run_timed(c, true, skip);
+      ASSERT_EQ(step.error, skip.error);
+      ASSERT_EQ(step.now, skip.now);
+      failed_runs += step.error.empty() ? 0 : 1;
+      testsupport::expect_same_stats(step.stats, skip.stats);
+      testsupport::expect_same_counters(step.profiler.counters(), skip.profiler.counters());
+      testsupport::expect_same_hot_pcs(step.profiler.hot_pcs(16), skip.profiler.hot_pcs(16));
+      EXPECT_EQ(sim::StateProbe::diff(step.probe, skip.probe, 2, "step", "skip"), "");
+      EXPECT_TRUE(step.out == skip.out) << "output buffer differs";
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(failed_runs, 0);  // the stripped variants do reach the error paths
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <numeric>
 
 #include "common/error.hpp"
+#include "device/spec.hpp"
 #include "mem/banked_smem.hpp"
 #include "mem/coalescer.hpp"
 #include "mem/global_mem.hpp"
@@ -219,6 +221,45 @@ TEST(TokenBucket, SustainedWithdrawalConvergesToRate) {
     last_done = cycle + tb.consume_with_debt(64.0);
   }
   EXPECT_NEAR(64.0 * n / last_done, 8.0, 0.05);
+}
+
+TEST(TokenBucket, MultiCycleTickEqualsSingleTicksBitwise) {
+  // The timed engine replays a skipped idle stretch with tick(n), so it must
+  // land on exactly the credit n single ticks reach. A per-SM DRAM share is
+  // a fractional rate, where rate * n rounds differently from a running sum.
+  const double rate = device::rtx2070().dram_bytes_per_cycle_per_sm();
+  struct Start {
+    const char* name;
+    double withdrawn;  // taken from the full bucket before the window
+    std::uint64_t window;
+  };
+  const Start starts[] = {
+      {"full credit", 0.0, 500},
+      {"deep debt", 1e6, 5000},             // still in debt after the window
+      {"crossing the cap", 4096.0, 1000},   // refills to the cap mid-window
+  };
+  for (const Start& s : starts) {
+    for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{3},
+                                  s.window / 2, s.window}) {
+      TokenBucket bulk(rate);
+      TokenBucket single(rate);
+      (void)bulk.consume_with_debt(s.withdrawn);
+      (void)single.consume_with_debt(s.withdrawn);
+      bulk.tick(n);
+      for (std::uint64_t i = 0; i < n; ++i) single.tick();
+      EXPECT_EQ(bulk.credit(), single.credit()) << s.name << ", " << n << " cycles";
+    }
+  }
+  // The windows do reach the regimes they are named for.
+  TokenBucket debt(rate);
+  (void)debt.consume_with_debt(1e6);
+  debt.tick(5000);
+  EXPECT_LT(debt.credit(), 0.0);
+  TokenBucket refill(rate);
+  const double cap = refill.credit();
+  (void)refill.consume_with_debt(4096.0);
+  refill.tick(1000);
+  EXPECT_EQ(refill.credit(), cap);
 }
 
 TEST(MultiClientBucket, CreditAccruesFromTimestampGap) {

@@ -2,7 +2,10 @@
 // functional MMA semantics (Section IV).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "sim/exec_core.hpp"
@@ -244,6 +247,135 @@ TEST(RegFile, DelayedWritebackIsInvisibleUntilDue) {
   regs.settle(10);
   EXPECT_EQ(regs.read(sass::Reg{0}, 0), 222u);
   EXPECT_FALSE(regs.has_pending(sass::Reg{0}));
+}
+
+TEST(RegFile, LaterWriteWithEarlierDueResolvesBySettleTimes) {
+  // Two writes to one register lane, the later one due first. Whatever is
+  // due when settle() runs lands in scheduling order, so the later write
+  // wins one settle after both dues but loses to a settle between them.
+  const sass::Reg r{3};
+  const auto two_writes = [&](WarpRegs& regs) {
+    regs.write_at(r, 5, 111, /*due=*/20);
+    regs.write_at(r, 5, 222, /*due=*/10);
+  };
+
+  WarpRegs once;
+  two_writes(once);
+  once.settle(25);
+  EXPECT_EQ(once.read(r, 5), 222u);
+  EXPECT_FALSE(once.has_pending(r));
+
+  WarpRegs between;
+  two_writes(between);
+  between.settle(15);
+  EXPECT_EQ(between.read(r, 5), 222u);
+  EXPECT_TRUE(between.has_pending(r));
+  between.settle(25);
+  EXPECT_EQ(between.read(r, 5), 111u);
+  EXPECT_FALSE(between.has_pending(r));
+
+  WarpRegs all;
+  two_writes(all);
+  all.settle_all();
+  EXPECT_EQ(all.read(r, 5), 222u);
+  EXPECT_FALSE(all.has_pending(r));
+}
+
+/// The flat-list writeback queue WarpRegs kept before it grouped writes
+/// into due-cycle runs: every settle walks every pending write. The oracle
+/// for the run-based queue, over registers R0..R5 and lanes 0..3.
+class FlatWritebackQueue {
+ public:
+  static constexpr int kRegs = 6;
+  static constexpr int kLanes = 4;
+
+  void write_at(sass::Reg r, int lane, std::uint32_t value, std::uint64_t due) {
+    if (r.is_rz()) return;
+    pending_.push_back({due, r.idx, lane, value});
+  }
+  void settle(std::uint64_t now) {
+    auto keep = pending_.begin();
+    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
+      if (it->due <= now) {
+        gpr_[it->reg][static_cast<std::size_t>(it->lane)] = it->value;
+      } else {
+        *keep++ = *it;
+      }
+    }
+    pending_.erase(keep, pending_.end());
+  }
+  void settle_all() { settle(WarpRegs::kNoPendingWrite); }
+  [[nodiscard]] bool has_pending(sass::Reg r) const {
+    for (const auto& p : pending_) {
+      if (p.reg == r.idx) return true;
+    }
+    return false;
+  }
+  [[nodiscard]] std::uint64_t next_due() const {
+    std::uint64_t due = WarpRegs::kNoPendingWrite;
+    for (const auto& p : pending_) due = std::min(due, p.due);
+    return due;
+  }
+  [[nodiscard]] std::uint32_t read(int reg, int lane) const {
+    return gpr_[static_cast<std::size_t>(reg)][static_cast<std::size_t>(lane)];
+  }
+
+ private:
+  struct Pending {
+    std::uint64_t due;
+    std::uint8_t reg;
+    int lane;
+    std::uint32_t value;
+  };
+  std::array<std::array<std::uint32_t, kLanes>, kRegs> gpr_{};
+  std::vector<Pending> pending_;
+};
+
+TEST(RegFile, RunQueueMatchesFlatListOracle) {
+  // Random write_at / settle / settle_all / has_pending sequences with a
+  // monotonic clock. Dues repeat (so writes group into runs), arrive out of
+  // order, and collide on few register lanes; an eighth of writes target RZ.
+  constexpr int kRegs = FlatWritebackQueue::kRegs;
+  constexpr int kLanes = FlatWritebackQueue::kLanes;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    WarpRegs regs;
+    FlatWritebackQueue oracle;
+    std::uint64_t now = 0;
+    std::uint64_t due = 0;
+    for (int op = 0; op < 400; ++op) {
+      const auto pick = rng.next_below(100);
+      if (pick < 60) {
+        const sass::Reg r = rng.next_below(8) == 0
+                                ? sass::RZ
+                                : sass::Reg{static_cast<std::uint8_t>(rng.next_below(kRegs))};
+        const auto lane = static_cast<int>(rng.next_below(kLanes));
+        const auto value = static_cast<std::uint32_t>(rng.next_u64());
+        if (rng.next_below(2) == 0) due = now + rng.next_below(40);
+        regs.write_at(r, lane, value, due);
+        oracle.write_at(r, lane, value, due);
+      } else if (pick < 85) {
+        now += rng.next_below(12);
+        regs.settle(now);
+        oracle.settle(now);
+      } else if (pick < 88) {
+        regs.settle_all();
+        oracle.settle_all();
+      } else {
+        const sass::Reg r{static_cast<std::uint8_t>(rng.next_below(kRegs))};
+        ASSERT_EQ(regs.has_pending(r), oracle.has_pending(r)) << "op " << op;
+      }
+      ASSERT_EQ(regs.next_due(), oracle.next_due()) << "op " << op;
+      for (int reg = 0; reg < kRegs; ++reg) {
+        for (int lane = 0; lane < kLanes; ++lane) {
+          ASSERT_EQ(regs.read(sass::Reg{static_cast<std::uint8_t>(reg)}, lane),
+                    oracle.read(reg, lane))
+              << "op " << op << " R" << reg << " lane " << lane;
+        }
+      }
+    }
+  }
 }
 
 TEST(RegFile, RzReadsZeroAndDropsWrites) {

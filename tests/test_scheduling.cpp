@@ -3,6 +3,9 @@
 // proving that the hazard machinery actually bites.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/hgemm.hpp"
 #include "core/kernel_gen.hpp"
@@ -10,6 +13,7 @@
 #include "driver/device.hpp"
 #include "sass/builder.hpp"
 #include "sim/probe.hpp"
+#include "support/timed_results.hpp"
 
 namespace tc {
 namespace {
@@ -347,6 +351,251 @@ TEST(Scheduling, ReuseFlagsHaveNoTimingEffect) {
     return sm.run(launch, std::span(&cta, 1)).cycles;
   };
   EXPECT_EQ(run(prog_plain), run(prog_reuse));
+}
+
+/// The three ways to drive one TimedSm launch: step() every cycle (the
+/// lockstep reference), TimedSm::run, and a driver that catches the SM up
+/// with skip_to() before each step, as TimedDevice does.
+enum class SmDriver { kLockstep, kRun, kSkipTo };
+
+/// One small launch of a kernel_gen kernel. `resident` CTA slots serve the
+/// grid; when they are fewer than its CTAs, retired slots are refilled.
+struct SmCase {
+  std::string name;
+  sass::Program prog;
+  std::uint32_t grid_x = 1;
+  std::uint32_t grid_y = 1;
+  std::uint32_t grid_z = 1;
+  int resident = 1;
+  std::vector<std::size_t> param_bytes;  // one buffer per kernel parameter
+};
+
+/// Everything one run reports: stats, the attached profiler's counters and
+/// hot-PC table, the probe's final register snapshots, and every buffer.
+struct SmRecord {
+  sim::TimedStats stats;
+  prof::CounterSet counters;
+  std::vector<prof::HotPc> hot;
+  std::vector<sim::WarpSnapshot> snaps;
+  std::vector<std::vector<std::uint8_t>> buffers;
+};
+
+/// Runs `c` with full math on per-SM bandwidth shares and a forced L2 hit
+/// rate, so the SM's private buckets refill through every skipped stretch.
+/// `observe` attaches a Profiler and a StateProbe.
+SmRecord run_sm_case(const SmCase& c, const device::DeviceSpec& spec, SmDriver driver,
+                     bool observe) {
+  mem::GlobalMemory gmem;
+  sim::Launch launch;
+  launch.program = &c.prog;
+  launch.grid_x = c.grid_x;
+  launch.grid_y = c.grid_y;
+  launch.grid_z = c.grid_z;
+  Rng rng(11);
+  for (const std::size_t bytes : c.param_bytes) {
+    std::vector<std::uint8_t> data(bytes);
+    for (std::size_t i = 0; i + 1 < bytes; i += 2) {
+      const std::uint16_t bits = rng.next_half(-0.5f, 0.5f).bits();
+      data[i] = static_cast<std::uint8_t>(bits & 0xFF);
+      data[i + 1] = static_cast<std::uint8_t>(bits >> 8);
+    }
+    launch.params.push_back(gmem.alloc(bytes));
+    gmem.write(launch.params.back(), data);
+  }
+
+  prof::Profiler profiler;
+  sim::StateProbe probe;
+  probe.set_num_regs(c.prog.num_regs);
+  sim::TimedConfig tc;
+  tc.spec = spec;
+  tc.dram_bytes_per_cycle = spec.dram_bytes_per_cycle_per_sm();
+  tc.l2_bytes_per_cycle = spec.l2_bytes_per_cycle_per_sm();
+  tc.forced_l2_hit_rate = 0.5;
+  if (observe) {
+    tc.profiler = &profiler;
+    tc.probe = &probe;
+  }
+  sim::TimedSm sm(tc, gmem);
+  SmRecord rec;
+  sim::GridCtaSource source(c.grid_x, c.grid_y, c.grid_z);
+  if (driver == SmDriver::kRun) {
+    std::vector<sim::CtaCoord> ctas;
+    while (const auto cta = source.next()) ctas.push_back(*cta);
+    rec.stats = sm.run(launch, ctas);
+  } else {
+    sm.begin(launch, source, c.resident);
+    if (driver == SmDriver::kLockstep) {
+      while (sm.step()) {
+      }
+    } else {
+      do {
+        sm.skip_to(sm.idle_until());
+      } while (sm.step());
+    }
+    EXPECT_EQ(source.issued(), launch.num_ctas());
+    rec.stats = sm.finish();
+  }
+  rec.counters = profiler.counters();
+  rec.hot = profiler.hot_pcs(16);
+  rec.snaps = probe.sorted();
+  for (std::size_t i = 0; i < c.param_bytes.size(); ++i) {
+    rec.buffers.emplace_back(c.param_bytes[i]);
+    gmem.read(launch.params[i], rec.buffers.back());
+  }
+  return rec;
+}
+
+void expect_same_record(const SmRecord& a, const SmRecord& b) {
+  testsupport::expect_same_stats(a.stats, b.stats);
+  testsupport::expect_same_counters(a.counters, b.counters);
+  testsupport::expect_same_hot_pcs(a.hot, b.hot);
+  ASSERT_EQ(a.snaps.size(), b.snaps.size());
+  for (std::size_t i = 0; i < a.snaps.size(); ++i) {
+    EXPECT_EQ(a.snaps[i].cta_x, b.snaps[i].cta_x);
+    EXPECT_EQ(a.snaps[i].cta_y, b.snaps[i].cta_y);
+    EXPECT_EQ(a.snaps[i].cta_z, b.snaps[i].cta_z);
+    EXPECT_EQ(a.snaps[i].warp_in_cta, b.snaps[i].warp_in_cta);
+    EXPECT_TRUE(a.snaps[i].gprs == b.snaps[i].gprs) << "registers of snapshot " << i;
+    EXPECT_TRUE(a.snaps[i].preds == b.snaps[i].preds) << "predicates of snapshot " << i;
+  }
+  EXPECT_TRUE(a.buffers == b.buffers) << "global memory differs";
+}
+
+TEST(Scheduling, EventSkipMatchesSteppingEveryCycle) {
+  // TimedSm::run and a skip_to() driver leave idle stretches unsimulated;
+  // both must report exactly what stepping every cycle reports, for every
+  // kernel_gen kernel on both specs.
+  const auto opt = core::HgemmConfig::optimized();
+  const auto cub = core::HgemmConfig::cublas_like();
+  auto split = core::HgemmConfig::optimized();
+  split.split_k = 2;
+  const GemmShape tile{256, 256, 64};
+  const std::size_t tile_ab = tile.m * tile.k * 2;
+  const std::size_t tile_c = tile.m * tile.n * 2;
+  core::Epilogue scaled;
+  scaled.alpha = 0.5f;
+  scaled.beta = 1.0f;
+  scaled.act = core::Activation::kRelu;
+  core::ReducePlan reduce;
+  reduce.m = 8;
+  reduce.n = 256;
+  reduce.parts = 2;
+  reduce.epilogue = scaled;
+  reduce.bias = true;
+  const GemmShape wmma{32, 128, 32};
+
+  std::vector<SmCase> cases;
+  cases.push_back({"optimized", core::hgemm_kernel(opt, tile), 1, 1, 1, 1,
+                   {tile_ab, tile_ab, tile_c}});
+  cases.push_back({"cublas_like", core::hgemm_kernel(cub, {256, 128, 128}), 1, 2, 1, 2,
+                   {256 * 128 * 2, 128 * 128 * 2, 256 * 128 * 2}});
+  cases.push_back({"optimized_epilogue", core::hgemm_kernel(opt, tile, scaled), 1, 1, 1, 1,
+                   {tile_ab, tile_ab, tile_c}});
+  cases.push_back({"split_k2", core::hgemm_kernel(split, {256, 256, 128}), 1, 1, 2, 1,
+                   {tile_ab * 2, tile_ab * 2, tile_c * 2}});
+  cases.push_back({"reduce_epilogue", core::reduce_epilogue_kernel(reduce), 1, 8, 1, 3,
+                   {2 * 8 * 256 * 2, 8 * 256 * 2, 256 * 2}});
+  cases.push_back({"wmma_naive", core::wmma_naive_kernel(wmma), 1, 2, 1, 2,
+                   {wmma.m * wmma.k * 2, wmma.n * wmma.k * 2, wmma.m * wmma.n * 2}});
+
+  for (const auto& spec : {device::rtx2070(), device::t4()}) {
+    for (const SmCase& c : cases) {
+      SCOPED_TRACE(c.name + " on " + spec.name);
+      const SmRecord lockstep = run_sm_case(c, spec, SmDriver::kLockstep, true);
+      ASSERT_GT(lockstep.stats.instructions, 0u);
+      {
+        SCOPED_TRACE("skip_to driver");
+        expect_same_record(lockstep, run_sm_case(c, spec, SmDriver::kSkipTo, true));
+      }
+      {
+        SCOPED_TRACE("skip_to driver, nothing attached");
+        const SmRecord bare = run_sm_case(c, spec, SmDriver::kSkipTo, false);
+        testsupport::expect_same_stats(lockstep.stats, bare.stats);
+        EXPECT_TRUE(lockstep.buffers == bare.buffers) << "global memory differs";
+      }
+      // run() takes a fixed resident set, so it covers the cases without refill.
+      if (static_cast<std::uint64_t>(c.resident) == std::uint64_t{c.grid_x} * c.grid_y * c.grid_z) {
+        SCOPED_TRACE("TimedSm::run");
+        expect_same_record(lockstep, run_sm_case(c, spec, SmDriver::kRun, true));
+      }
+    }
+  }
+}
+
+TEST(Scheduling, EventSkipReplaysWritebacksAtTheirDueCycles) {
+  // A load into R4, then a MOV to R4 that is due hundreds of cycles before
+  // the load's data. The warp waits at the scoreboard in between, so lockstep
+  // settles it every cycle: the MOV lands first and the load overwrites it.
+  // The wait is an idle stretch the engine skips; committing both writes
+  // only when the warp next wakes would land them in scheduling order and
+  // store the MOV's value instead.
+  sass::KernelBuilder b("waw_across_skip");
+  b.threads(32);
+  b.mov_param(sass::Reg{10}, 0).stall(1);
+  b.mov_param(sass::Reg{11}, 1).stall(13);
+  b.s2r(sass::Reg{12}, sass::SpecialReg::kLaneId).stall(13);
+  b.shl(sass::Reg{13}, sass::Reg{12}, 2).stall(6);
+  b.iadd3(sass::Reg{14}, sass::Reg{13}, sass::Reg{10}).stall(6);  // in + lane*4
+  b.iadd3(sass::Reg{15}, sass::Reg{13}, sass::Reg{11}).stall(6);  // out + lane*4
+  b.ldg(sass::MemWidth::k32, sass::Reg{4}, sass::Reg{14}).write_bar(0).stall(2);
+  b.mov_imm(sass::Reg{4}, 0x600DF00Du).stall(1);
+  b.nop().wait_on(0).stall(1);
+  b.stg(sass::MemWidth::k32, sass::Reg{15}, sass::Reg{4}).stall(1);
+  b.exit();
+  const SmCase c{"waw_across_skip", b.finalize(), 1, 1, 1, 1, {32 * 4, 32 * 4}};
+  for (const auto driver : {SmDriver::kLockstep, SmDriver::kRun, SmDriver::kSkipTo}) {
+    SCOPED_TRACE(static_cast<int>(driver));
+    const SmRecord rec = run_sm_case(c, device::rtx2070(), driver, false);
+    EXPECT_TRUE(rec.buffers[1] == rec.buffers[0]) << "the MOV's value was stored";
+  }
+}
+
+TEST(Scheduling, MaxCyclesStopsARunawayKernelAtTheLimit) {
+  // max_cycles is the livelock guard. A kernel that never exits fails with
+  // the same error at the same cycle whether its idle stretches are skipped
+  // or stepped; skip_to stops at the limit even inside a stall window. The
+  // limits sweep one loop period, so some fall inside a skipped stretch.
+  sass::KernelBuilder b("runaway");
+  b.threads(32);
+  b.label("spin");
+  b.nop().stall(15);
+  b.bra("spin").stall(5);
+  b.exit();
+  const auto prog = b.finalize();
+  mem::GlobalMemory gmem;
+  sim::Launch launch;
+  launch.program = &prog;
+  sim::TimedConfig tc;
+  tc.spec = device::rtx2070();
+  for (std::uint64_t limit = 3000; limit < 3025; ++limit) {
+    tc.max_cycles = limit;
+    for (const auto driver : {SmDriver::kLockstep, SmDriver::kSkipTo, SmDriver::kRun}) {
+      SCOPED_TRACE("limit " + std::to_string(limit) + ", driver " +
+                   std::to_string(static_cast<int>(driver)));
+      sim::TimedSm sm(tc, gmem);
+      sim::GridCtaSource source(1, 1);
+      try {
+        if (driver == SmDriver::kRun) {
+          const sim::CtaCoord cta{0, 0};
+          (void)sm.run(launch, std::span(&cta, 1));
+        } else {
+          sm.begin(launch, source, 1);
+          if (driver == SmDriver::kLockstep) {
+            while (sm.step()) {
+            }
+          } else {
+            do {
+              sm.skip_to(sm.idle_until());
+            } while (sm.step());
+          }
+        }
+        ADD_FAILURE() << "a kernel that never exits ran to completion";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("max_cycles"), std::string::npos) << e.what();
+      }
+      EXPECT_EQ(sm.now(), limit);
+    }
+  }
 }
 
 }  // namespace
