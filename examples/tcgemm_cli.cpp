@@ -86,6 +86,7 @@ struct Args {
   bool wmma = false;
   bool profile = false;
   int top = 10;
+  bool top_set = false;          // --top given explicitly
   int programs = 200;
   std::uint64_t seed = 1;
   std::string trace_out;
@@ -150,6 +151,7 @@ Args parse(int argc, char** argv) {
       a.profile = true;
     } else if (flag == "--top") {
       a.top = std::stoi(value());
+      a.top_set = true;
     } else if (flag == "--programs") {
       a.programs = std::stoi(value());
     } else if (flag == "--seed") {
@@ -366,9 +368,20 @@ int main(int argc, char** argv) {
       return rc;
     }
 
-    if (args.command == "perf" && args.engine_set) {
-      TC_CHECK(args.engine == "model" || args.engine == "device",
-               "perf --engine must be 'model' or 'device'");
+    if (args.command == "perf") {
+      if (args.engine_set) {
+        TC_CHECK(args.engine == "model" || args.engine == "device",
+                 "perf --engine must be 'model' or 'device'");
+      }
+      // A flag perf cannot apply is an error, never silently ignored.
+      if (args.engine == "device") {
+        TC_CHECK(!args.profile, "perf --engine device does not support --profile");
+        TC_CHECK(args.trace_out.empty(), "perf --engine device does not support --trace-out");
+        TC_CHECK(!args.top_set, "perf --engine device does not support --top");
+      } else if (!args.profile) {
+        TC_CHECK(args.trace_out.empty(), "perf --trace-out needs --profile");
+        TC_CHECK(!args.top_set, "perf --top needs --profile");
+      }
     }
     if (args.command == "perf" && args.engine == "device") {
       // Cycle-level multi-SM simulation of the whole grid (shared L2/DRAM,

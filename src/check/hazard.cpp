@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sass/footprint.hpp"
 #include "sim/pipes.hpp"
 
 namespace tc::check {
@@ -28,95 +29,10 @@ static_assert(sim::kAluLatency == sass::kPredicateLatency,
               "predicates travel the ALU path; the detector and the timed SM "
               "must agree on when an ISETP result becomes visible");
 
-LatencyModel sim_latency_model() {
-  return {&sim::fixed_latency, sim::kBranchRedirectCycles, sim::kAluLatency};
-}
-
 namespace {
 
-struct RegRange {
-  int lo = 0;
-  int count = 0;
-};
-
-bool overlaps(const RegRange& a, const RegRange& b) {
-  return a.count > 0 && b.count > 0 && a.lo < b.lo + b.count && b.lo < a.lo + a.count;
-}
-
-bool covers(const RegRange& r, int reg) { return r.count > 0 && reg >= r.lo && reg < r.lo + r.count; }
-
-std::string range_name(const RegRange& r) {
-  std::string name = "R";
-  name += std::to_string(r.lo);
-  if (r.count > 1) {
-    name += "..R";
-    name += std::to_string(r.lo + r.count - 1);
-  }
-  return name;
-}
-
-bool is_mio(Opcode op) { return sass::pipe_class(op) == sass::PipeClass::kMio; }
-
-/// Registers written through the fixed-latency (non-MIO) path.
-RegRange fixed_write_range(const Instruction& inst) {
-  if (inst.dst.is_rz()) return {};
-  if (is_mio(inst.op) || sass::pipe_class(inst.op) == sass::PipeClass::kControl) return {};
-  if (sass::is_mma(inst.op)) return {inst.dst.idx, sass::mma_reg_counts(inst.op).d};
-  return {inst.dst.idx, 1};
-}
-
-/// Destination range of a memory load (written at MIO data arrival).
-RegRange load_dst_range(const Instruction& inst) {
-  if ((inst.op == Opcode::kLdg || inst.op == Opcode::kLds) && !inst.dst.is_rz()) {
-    return {inst.dst.idx, sass::width_regs(inst.width)};
-  }
-  return {};
-}
-
-/// Register ranges read at issue time (operand collectors).
-std::array<RegRange, 3> issue_read_ranges(const Instruction& inst) {
-  std::array<RegRange, 3> out{};
-  int slot = 0;
-  const auto add = [&](sass::Reg r, int count) {
-    if (!r.is_rz() && count > 0) out[static_cast<std::size_t>(slot++)] = {r.idx, count};
-  };
-  switch (inst.op) {
-    case Opcode::kLdg:
-    case Opcode::kLds:
-      add(inst.srca, 1);
-      break;
-    case Opcode::kStg:
-    case Opcode::kSts:
-      add(inst.srca, 1);
-      add(inst.srcb, sass::width_regs(inst.width));
-      break;
-    default:
-      if (sass::pipe_class(inst.op) == sass::PipeClass::kControl) break;
-      if (sass::is_mma(inst.op)) {
-        const auto rc = sass::mma_reg_counts(inst.op);
-        add(inst.srca, rc.a);
-        add(inst.srcb, rc.b);
-        add(inst.srcc, rc.c);
-      } else {
-        add(inst.srca, 1);
-        if (!inst.has_imm) add(inst.srcb, 1);
-        add(inst.srcc, 1);
-      }
-      break;
-  }
-  return out;
-}
-
-/// Source registers an in-flight MIO op still holds (address + store data).
-/// tc::sim reads them at issue, so overwriting early is a silicon-only race.
-std::vector<RegRange> mio_src_ranges(const Instruction& inst) {
-  std::vector<RegRange> out;
-  if (!inst.srca.is_rz()) out.push_back({inst.srca.idx, 1});
-  if ((inst.op == Opcode::kStg || inst.op == Opcode::kSts) && !inst.srcb.is_rz()) {
-    out.push_back({inst.srcb.idx, sass::width_regs(inst.width)});
-  }
-  return out;
-}
+using sass::Footprint;
+using sass::RegRange;
 
 struct PendingFixed {
   int pc = 0;
@@ -134,14 +50,14 @@ struct PendingPred {
 
 struct InFlightMio {
   int pc = 0;
-  RegRange dst;                 // un-retired load destination (count 0 for stores)
-  std::vector<RegRange> srcs;   // held until the read barrier is waited
+  RegRange dst;                    // un-retired load destination (count 0 for stores)
+  std::array<RegRange, 2> srcs{};  // held until the read barrier is waited
   std::uint8_t write_barrier = sass::kNoBarrier;
   std::uint8_t read_barrier = sass::kNoBarrier;
 
   [[nodiscard]] bool spent() const {
-    return dst.count == 0 && srcs.empty() && write_barrier == sass::kNoBarrier &&
-           read_barrier == sass::kNoBarrier;
+    return dst.count == 0 && srcs[0].count == 0 && srcs[1].count == 0 &&
+           write_barrier == sass::kNoBarrier && read_barrier == sass::kNoBarrier;
   }
 };
 
@@ -182,6 +98,7 @@ class SegmentWalker {
 
   void step(int pc) {
     const Instruction& inst = prog_.code[static_cast<std::size_t>(pc)];
+    const Footprint fp = sass::footprint(inst);
 
     // --- scoreboard waits ---------------------------------------------------
     if (inst.ctrl.wait_mask != 0) {
@@ -195,7 +112,7 @@ class SegmentWalker {
             armed = true;
           }
           if (op.read_barrier == b) {
-            op.srcs.clear();  // sources released
+            op.srcs = {};  // sources released
             op.read_barrier = sass::kNoBarrier;
             armed = true;
           }
@@ -214,7 +131,7 @@ class SegmentWalker {
     if (inst.op == Opcode::kBar) ++wait_seq_;  // CTA sync adds unknown delay
 
     // --- reads at issue -----------------------------------------------------
-    for (const RegRange& rr : issue_read_ranges(inst)) {
+    for (const RegRange& rr : fp.reads) {
       if (rr.count == 0) continue;
       // In-flight loads: any overlap is a race regardless of distance — the
       // data arrival time is unbounded without the barrier wait.
@@ -253,13 +170,12 @@ class SegmentWalker {
       }
     }
     // Predicate reads: the guard, and SEL's selector.
-    check_pred_read(inst, pc, inst.guard.idx, "guard");
-    if (inst.op == Opcode::kSel) check_pred_read(inst, pc, inst.pdst.idx, "selector");
+    check_pred_read(inst, pc, fp.pred_reads[0], "guard");
+    check_pred_read(inst, pc, fp.pred_reads[1], "selector");
 
     // --- writes -------------------------------------------------------------
-    const RegRange fw = fixed_write_range(inst);
-    const RegRange ld = load_dst_range(inst);
-    const RegRange w = fw.count > 0 ? fw : ld;
+    const RegRange& fw = fp.fixed_write;
+    const RegRange w = fw.count > 0 ? fw : fp.load_dst;
     if (w.count > 0) {
       for (const auto& op : inflight_) {
         if (overlaps(op.dst, w)) {
@@ -306,24 +222,21 @@ class SegmentWalker {
     }
 
     // --- state update -------------------------------------------------------
-    if (is_mio(inst.op)) {
+    if (sass::pipe_class(inst.op) == sass::PipeClass::kMio) {
       InFlightMio op;
       op.pc = pc;
-      op.dst = ld;
-      op.srcs = mio_src_ranges(inst);
-      op.write_barrier = inst.ctrl.write_barrier;
-      op.read_barrier = inst.ctrl.read_barrier;
+      op.dst = fp.load_dst;
       // Without a read barrier the sources are only at risk on silicon until
       // the op drains; tracking them forever would flag every temp reuse, so
       // hold them only while a barrier could still be waited on.
-      if (op.read_barrier == sass::kNoBarrier) op.srcs.clear();
-      if (!op.spent()) inflight_.push_back(std::move(op));
+      if (inst.ctrl.read_barrier != sass::kNoBarrier) op.srcs = fp.mio_srcs;
+      op.write_barrier = inst.ctrl.write_barrier;
+      op.read_barrier = inst.ctrl.read_barrier;
+      if (!op.spent()) inflight_.push_back(op);
     } else if (fw.count > 0) {
       pending_.push_back({pc, fw, t_, wait_seq_});
     }
-    if (inst.op == Opcode::kIsetp && !inst.pdst.is_pt()) {
-      preds_.push_back({pc, inst.pdst.idx, t_, wait_seq_});
-    }
+    if (fp.pred_write >= 0) preds_.push_back({pc, fp.pred_write, t_, wait_seq_});
 
     // --- advance ------------------------------------------------------------
     const int stall = std::max<int>(inst.ctrl.stall, 1);
@@ -337,8 +250,8 @@ class SegmentWalker {
     return false;
   }
 
-  void check_pred_read(const Instruction& inst, int pc, std::uint8_t pred, const char* what) {
-    if (pred == 7) return;  // PT
+  void check_pred_read(const Instruction& inst, int pc, int pred, const char* what) {
+    if (pred < 0) return;
     for (auto it = preds_.rbegin(); it != preds_.rend(); ++it) {
       if (it->pred != pred) continue;
       if (it->wait_seq == wait_seq_) {
@@ -400,10 +313,6 @@ std::vector<Diag> find_hazards(const sass::Program& prog, const LatencyModel& la
     s = e + 1;
   }
   return out;
-}
-
-std::vector<Diag> find_hazards(const sass::Program& prog) {
-  return find_hazards(prog, sim_latency_model());
 }
 
 }  // namespace tc::check

@@ -45,15 +45,9 @@ struct LatencyModel {
   int predicate_latency = sass::kPredicateLatency;  // ISETP issue -> predicate visibility
 };
 
-/// The timed simulator's own latency table (sim::fixed_latency et al.).
-LatencyModel sim_latency_model();
-
 /// Runs the detector and returns structured findings, program order,
 /// errors and warnings interleaved. Empty = provably clean schedule (within
 /// the segment-local scope documented above).
-std::vector<sass::Diag> find_hazards(const sass::Program& prog, const LatencyModel& lat);
-
-/// Convenience overload using sim_latency_model().
-std::vector<sass::Diag> find_hazards(const sass::Program& prog);
+std::vector<sass::Diag> find_hazards(const sass::Program& prog, const LatencyModel& lat = {});
 
 }  // namespace tc::check

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "sass/footprint.hpp"
 #include "sass/validator.hpp"
 
 namespace tc::sass {
@@ -126,6 +127,7 @@ SpecialReg parse_special(const std::string& tok, int line) {
   if (tok == "SR_TID.X") return SpecialReg::kTidX;
   if (tok == "SR_CTAID.X") return SpecialReg::kCtaIdX;
   if (tok == "SR_CTAID.Y") return SpecialReg::kCtaIdY;
+  if (tok == "SR_CTAID.Z") return SpecialReg::kCtaIdZ;
   if (tok == "SR_NCTAID.X") return SpecialReg::kNCtaIdX;
   if (tok == "SR_SMID") return SpecialReg::kSmId;
   fail(line, "unknown special register '" + tok + "'");
@@ -406,20 +408,25 @@ Program assemble_impl(const std::string& source) {
     }
     if (line.empty()) continue;
 
-    // Directives.
+    // Directives: a name and exactly one value.
     if (line[0] == '.') {
       std::istringstream d(line);
       std::string name;
-      d >> name;
-      if (name == ".kernel") {
-        d >> st.prog.name;
-      } else if (name == ".threads") {
-        d >> st.prog.cta_threads;
-      } else if (name == ".smem") {
-        d >> st.prog.smem_bytes;
-      } else {
+      std::string value;
+      std::string extra;
+      d >> name >> value;
+      if (name != ".kernel" && name != ".threads" && name != ".smem") {
         fail(line_no, "unknown directive " + name);
       }
+      if (value.empty() || d >> extra) fail(line_no, name + " takes exactly one value");
+      if (name == ".kernel") {
+        st.prog.name = value;
+        continue;
+      }
+      const auto v = try_imm(value);
+      if (!v || *v < 0) fail(line_no, "bad " + name + " value '" + value + "'");
+      std::uint32_t& field = name == ".threads" ? st.prog.cta_threads : st.prog.smem_bytes;
+      field = static_cast<std::uint32_t>(*v);
       continue;
     }
 
@@ -450,38 +457,7 @@ Program assemble_impl(const std::string& source) {
     st.prog.code[static_cast<std::size_t>(index)].target = it->second;
   }
 
-  // Resource bookkeeping identical to KernelBuilder::finalize.
-  int max_reg = -1;
-  std::uint32_t max_param = 0;
-  for (const auto& inst : st.prog.code) {
-    auto track = [&](Reg r, int count) {
-      if (!r.is_rz()) max_reg = std::max(max_reg, static_cast<int>(r.idx) + count - 1);
-    };
-    if (is_mma(inst.op)) {
-      const auto rc = mma_reg_counts(inst.op);
-      track(inst.dst, rc.d);
-      track(inst.srca, rc.a);
-      track(inst.srcb, rc.b);
-      track(inst.srcc, rc.c);
-    } else if (inst.op == Opcode::kLdg || inst.op == Opcode::kLds) {
-      track(inst.dst, width_regs(inst.width));
-      track(inst.srca, 1);
-    } else if (inst.op == Opcode::kStg || inst.op == Opcode::kSts) {
-      track(inst.srca, 1);
-      track(inst.srcb, width_regs(inst.width));
-    } else {
-      track(inst.dst, 1);
-      track(inst.srca, 1);
-      if (!inst.has_imm) track(inst.srcb, 1);
-      track(inst.srcc, 1);
-    }
-    if (inst.op == Opcode::kMovParam) {
-      max_param = std::max(max_param, static_cast<std::uint32_t>(inst.param_index) + 1);
-    }
-  }
-  st.prog.num_regs = max_reg + 1;
-  st.prog.num_param_words = max_param;
-
+  count_resources(st.prog);
   validate(st.prog);
   return st.prog;
 }

@@ -1,7 +1,11 @@
 // Text-form SASS assembler: parses the same syntax the disassembler emits
-// (plus labels and resource directives), so kernels can be written or
-// patched as text — the workflow of maxas/turingas the paper's SASS kernel
-// was developed with. assemble(disassemble(p)) reproduces p exactly.
+// (plus labels), so kernels can be written or patched as text — the
+// workflow of maxas/turingas the paper's SASS kernel was developed with.
+// assemble(disassemble(p)) reproduces p exactly: name, threads and shared
+// memory from the directives Program::disassemble() writes, every
+// instruction and control word, and the register and parameter counts,
+// which both the assembler and KernelBuilder derive with
+// sass::count_resources().
 //
 // Grammar (one instruction per line):
 //
@@ -9,10 +13,11 @@
 //   label:
 //   [@[!]Pn] OPCODE operands ; {S:n [Y] [WBk] [RBk] [W:digits] [RU:n]}
 //
-// Operands follow the disassembler: registers R0..R254/RZ, predicates
-// P0..P6/PT, immediates 0x.. or decimal, memory [Rn+0x..], parameters
-// c[0x0][i], special registers SR_*. Branch targets may be a label or an
-// absolute instruction index. `//` starts a comment.
+// Each directive takes exactly one value; N and BYTES are non-negative
+// integers (decimal or 0x..). Operands follow the disassembler: registers
+// R0..R254/RZ, predicates P0..P6/PT, immediates 0x.. or decimal, memory
+// [Rn+0x..], parameters c[0x0][i], special registers SR_*. Branch targets
+// may be a label or an absolute instruction index. `//` starts a comment.
 #pragma once
 
 #include <optional>

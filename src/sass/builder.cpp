@@ -1,8 +1,7 @@
 #include "sass/builder.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "sass/footprint.hpp"
 #include "sass/validator.hpp"
 
 namespace tc::sass {
@@ -397,39 +396,7 @@ Program KernelBuilder::finalize() {
   prog.code = std::move(code_);
   prog.smem_bytes = smem_bytes_;
   prog.cta_threads = cta_threads_;
-
-  int max_reg = -1;
-  std::uint32_t max_param = 0;
-  for (const auto& inst : prog.code) {
-    auto track = [&](Reg r, int count) {
-      if (r.is_rz()) return;
-      max_reg = std::max(max_reg, static_cast<int>(r.idx) + count - 1);
-    };
-    if (is_mma(inst.op)) {
-      const auto rc = mma_reg_counts(inst.op);
-      track(inst.dst, rc.d);
-      track(inst.srca, rc.a);
-      track(inst.srcb, rc.b);
-      track(inst.srcc, rc.c);
-    } else if (inst.op == Opcode::kLdg || inst.op == Opcode::kLds) {
-      track(inst.dst, width_regs(inst.width));
-      track(inst.srca, 1);
-    } else if (inst.op == Opcode::kStg || inst.op == Opcode::kSts) {
-      track(inst.srca, 1);
-      track(inst.srcb, width_regs(inst.width));
-    } else {
-      track(inst.dst, 1);
-      track(inst.srca, 1);
-      if (!inst.has_imm) track(inst.srcb, 1);
-      track(inst.srcc, 1);
-    }
-    if (inst.op == Opcode::kMovParam) {
-      max_param = std::max(max_param, static_cast<std::uint32_t>(inst.param_index) + 1);
-    }
-  }
-  prog.num_regs = max_reg + 1;
-  prog.num_param_words = max_param;
-
+  count_resources(prog);
   validate(prog);
   return prog;
 }

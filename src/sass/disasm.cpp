@@ -126,8 +126,8 @@ std::string Instruction::to_string() const {
 
 std::string Program::disassemble() const {
   std::ostringstream os;
-  os << "// kernel " << name << ": regs=" << num_regs << " smem=" << smem_bytes
-     << "B threads=" << cta_threads << "\n";
+  os << ".kernel " << name << "\n.threads " << cta_threads << "\n.smem " << smem_bytes
+     << "\n// regs=" << num_regs << "\n";
   for (std::size_t pc = 0; pc < code.size(); ++pc) {
     os << "/*" << pc << "*/\t" << code[pc].to_string() << "\n";
   }

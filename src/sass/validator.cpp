@@ -1,9 +1,9 @@
 #include "sass/validator.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/error.hpp"
+#include "sass/footprint.hpp"
 
 namespace tc::sass {
 
@@ -144,83 +144,6 @@ std::vector<std::string> lint(const Program& prog) {
   return warnings;
 }
 
-namespace {
-
-struct RegRange {
-  int lo = 0;
-  int count = 0;
-};
-
-bool overlaps(const RegRange& a, const RegRange& b) {
-  return a.count > 0 && b.count > 0 && a.lo < b.lo + b.count && b.lo < a.lo + a.count;
-}
-
-std::string range_name(const RegRange& r) {
-  if (r.count == 1) return "R" + std::to_string(r.lo);
-  return "R" + std::to_string(r.lo) + "..R" + std::to_string(r.lo + r.count - 1);
-}
-
-/// Registers `inst` writes through the fixed-latency (non-MIO) path.
-RegRange write_range(const Instruction& inst) {
-  if (inst.dst.is_rz()) return {};
-  switch (inst.op) {
-    case Opcode::kStg:
-    case Opcode::kSts:
-      return {};
-    case Opcode::kLdg:
-    case Opcode::kLds:
-      // Variable latency: scoreboard-protected, handled by base lint().
-      return {};
-    default:
-      if (pipe_class(inst.op) == PipeClass::kControl) return {};
-      if (is_mma(inst.op)) return {inst.dst.idx, mma_reg_counts(inst.op).d};
-      return {inst.dst.idx, 1};
-  }
-}
-
-/// Register ranges `inst` reads at issue time (up to three operand slots).
-std::array<RegRange, 3> read_ranges(const Instruction& inst) {
-  std::array<RegRange, 3> out{};
-  int slot = 0;
-  const auto add = [&](Reg r, int count) {
-    if (!r.is_rz() && count > 0) out[static_cast<std::size_t>(slot++)] = {r.idx, count};
-  };
-  switch (inst.op) {
-    case Opcode::kLdg:
-    case Opcode::kLds:
-      add(inst.srca, 1);
-      break;
-    case Opcode::kStg:
-    case Opcode::kSts:
-      add(inst.srca, 1);
-      add(inst.srcb, width_regs(inst.width));
-      break;
-    default:
-      if (pipe_class(inst.op) == PipeClass::kControl) break;
-      if (is_mma(inst.op)) {
-        const auto rc = mma_reg_counts(inst.op);
-        add(inst.srca, rc.a);
-        add(inst.srcb, rc.b);
-        add(inst.srcc, rc.c);
-      } else {
-        add(inst.srca, 1);
-        if (!inst.has_imm) add(inst.srcb, 1);
-        add(inst.srcc, 1);
-      }
-      break;
-  }
-  return out;
-}
-
-bool reads_any(const Instruction& inst, const RegRange& w) {
-  for (const auto& r : read_ranges(inst)) {
-    if (overlaps(r, w)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
   std::vector<std::string> warnings;
   const int n = static_cast<int>(prog.code.size());
@@ -243,6 +166,8 @@ std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
   const auto at = [&](int pc) -> const Instruction& {
     return prog.code[static_cast<std::size_t>(pc)];
   };
+  const std::vector<Footprint> fp = footprints(prog.code);
+  const auto fp_at = [&](int pc) -> const Footprint& { return fp[static_cast<std::size_t>(pc)]; };
 
   int s = 0;
   while (s < n) {
@@ -264,7 +189,7 @@ std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
 
     for (int i = s; i <= e; ++i) {
       const auto& pinst = at(i);
-      const RegRange w = write_range(pinst);
+      const RegRange w = fp_at(i).fixed_write;
       if (w.count == 0) continue;
       int lat = 0;
       for (int off = 0; off < w.count; ++off) lat = std::max(lat, latency_of(pinst, off));
@@ -272,9 +197,8 @@ std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
       bool waits = false;
       bool resolved = false;
       for (int j = i + 1; j <= e && !resolved; ++j) {
-        const auto& cinst = at(j);
-        if (cinst.ctrl.wait_mask != 0) waits = true;
-        if (reads_any(cinst, w)) {
+        if (at(j).ctrl.wait_mask != 0) waits = true;
+        if (fp_at(j).reads_any(w)) {
           const std::int64_t gap =
               t[static_cast<std::size_t>(j - s)] - t[static_cast<std::size_t>(i - s)];
           if (gap < lat) {
@@ -301,7 +225,7 @@ std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
             }
           }
           resolved = true;
-        } else if (overlaps(write_range(cinst), w)) {
+        } else if (overlaps(fp_at(j).fixed_write, w)) {
           resolved = true;  // overwritten before any read: dependency dead
         }
       }
@@ -315,9 +239,8 @@ std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
       if (!resolved && self_loop) {
         const std::int64_t loop_len = t[static_cast<std::size_t>(e - s + 1)];
         for (int j = s; j <= i && !resolved; ++j) {
-          const auto& cinst = at(j);
-          if (cinst.ctrl.wait_mask != 0) waits = true;
-          if (reads_any(cinst, w)) {
+          if (at(j).ctrl.wait_mask != 0) waits = true;
+          if (fp_at(j).reads_any(w)) {
             const std::int64_t gap = loop_len - t[static_cast<std::size_t>(i - s)] +
                                      t[static_cast<std::size_t>(j - s)];
             if (gap < lat && !waits) {
@@ -329,7 +252,7 @@ std::vector<std::string> lint(const Program& prog, LatencyFn latency_of) {
                   "; under-protected by " + std::to_string(lat - gap) + " cycles");
             }
             resolved = true;
-          } else if (overlaps(write_range(cinst), w)) {
+          } else if (overlaps(fp_at(j).fixed_write, w)) {
             resolved = true;
           }
         }

@@ -8,10 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "check/hazard.hpp"
 #include "common/rng.hpp"
 #include "sass/builder.hpp"
-#include "sass/diag.hpp"
 #include "sched/schedule.hpp"
 
 namespace tc::sched {
@@ -338,21 +336,6 @@ SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count,
         continue;
       }
       ++rep.schedules;
-
-      // Belt and braces: schedule() already verified, but re-running the
-      // detector here keeps the fuzzer meaningful with verify disabled.
-      const auto diags = check::find_hazards(scheduled.prog);
-      if (sass::has_errors(diags)) {
-        std::string detail;
-        for (const auto& d : diags) {
-          if (d.severity == sass::DiagSeverity::kError) {
-            detail += sass::format(d) + "\n";
-          }
-        }
-        rep.failures.push_back(
-            {seed, reorder, "hazard", detail, scheduled.prog.disassemble()});
-        continue;
-      }
 
       const auto div = check::run_case(scheduled, run_opts);
       if (!div.has_value()) continue;

@@ -8,12 +8,13 @@
 // through tc::sched::schedule() twice (reorder off and on) and each result
 // must
 //
-//   1. schedule at all (no exception from the pipeline or its verify gate),
-//   2. be clean under check::find_hazards (belt and braces — verify already
-//      gates this inside schedule()),
-//   3. agree bit-for-bit between the functional and timed executors
+//   1. schedule at all (no exception from the pipeline or from its
+//      postcondition, which rejects any check::find_hazards diagnostic),
+//   2. agree bit-for-bit between the functional and timed executors
 //      (check::run_case), since a correctly scheduled race-free program can
-//      only diverge if the scheduler under-synchronized it.
+//      only diverge if the scheduler under-synchronized it. This oracle
+//      reads no register footprint, so it also catches a mistake in the
+//      model the scheduler and the detector share (sass/footprint.hpp).
 //
 // This lives in tc::sched rather than tc::check because it depends on the
 // scheduler; check/ must stay below sched/ in the link order so the
@@ -39,7 +40,7 @@ struct SchedFuzzOptions {
 struct SchedFuzzFailure {
   std::uint64_t seed = 0;
   bool reordered = false;  // which scheduling mode failed
-  std::string phase;       // "schedule" | "hazard" | "divergence" | "exception"
+  std::string phase;       // "schedule" | "divergence" | "exception"
   std::string detail;      // exception text, diagnostics, or probe diff
   std::string program;     // disassembly (virtual if scheduling threw)
 };

@@ -4,118 +4,39 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "check/hazard.hpp"
 #include "common/error.hpp"
+#include "sass/footprint.hpp"
+#include "sass/latency.hpp"
 #include "sass/validator.hpp"
 
 namespace tc::sched {
 namespace {
 
+using sass::Footprint;
 using sass::Instruction;
 using sass::Opcode;
+using sass::RegRange;
 
-// --- operand enumeration ----------------------------------------------------
-// Mirrors the hazard detector's view of register traffic exactly: the
-// scheduler's constraints must be a superset of what the oracle checks.
-
-struct RegRange {
-  int lo = 0;
-  int count = 0;
-};
-
-bool overlaps(const RegRange& a, const RegRange& b) {
-  return a.count > 0 && b.count > 0 && a.lo < b.lo + b.count && b.lo < a.lo + a.count;
-}
+// --- register footprints ----------------------------------------------------
+// Register traffic comes from sass::footprint(), the model the hazard
+// detector checks against, so every register the oracle tracks is one the
+// scheduler constrains.
 
 bool is_mio(Opcode op) { return sass::pipe_class(op) == sass::PipeClass::kMio; }
 bool is_control(Opcode op) { return sass::pipe_class(op) == sass::PipeClass::kControl; }
 
-/// Registers written through the fixed-latency (non-MIO) path.
-RegRange fixed_write_range(const Instruction& inst) {
-  if (inst.dst.is_rz()) return {};
-  if (is_mio(inst.op) || is_control(inst.op)) return {};
-  if (sass::is_mma(inst.op)) return {inst.dst.idx, sass::mma_reg_counts(inst.op).d};
-  return {inst.dst.idx, 1};
-}
-
-/// Destination range of a memory load (written at MIO data arrival).
-RegRange load_dst_range(const Instruction& inst) {
-  if ((inst.op == Opcode::kLdg || inst.op == Opcode::kLds) && !inst.dst.is_rz()) {
-    return {inst.dst.idx, sass::width_regs(inst.width)};
-  }
-  return {};
-}
-
-/// Register ranges read at issue time (operand collectors).
-std::array<RegRange, 3> issue_read_ranges(const Instruction& inst) {
-  std::array<RegRange, 3> out{};
-  int slot = 0;
-  const auto add = [&](sass::Reg r, int count) {
-    if (!r.is_rz() && count > 0) out[static_cast<std::size_t>(slot++)] = {r.idx, count};
-  };
-  switch (inst.op) {
-    case Opcode::kLdg:
-    case Opcode::kLds:
-      add(inst.srca, 1);
-      break;
-    case Opcode::kStg:
-    case Opcode::kSts:
-      add(inst.srca, 1);
-      add(inst.srcb, sass::width_regs(inst.width));
-      break;
-    default:
-      if (is_control(inst.op)) break;
-      if (sass::is_mma(inst.op)) {
-        const auto rc = sass::mma_reg_counts(inst.op);
-        add(inst.srca, rc.a);
-        add(inst.srcb, rc.b);
-        add(inst.srcc, rc.c);
-      } else {
-        add(inst.srca, 1);
-        if (!inst.has_imm) add(inst.srcb, 1);
-        add(inst.srcc, 1);
-      }
-      break;
-  }
-  return out;
-}
-
-/// Source registers an in-flight MIO op holds until its read barrier fires.
-std::vector<RegRange> mio_src_ranges(const Instruction& inst) {
-  std::vector<RegRange> out;
-  if (!is_mio(inst.op)) return out;
-  if (!inst.srca.is_rz()) out.push_back({inst.srca.idx, 1});
-  if ((inst.op == Opcode::kStg || inst.op == Opcode::kSts) && !inst.srcb.is_rz()) {
-    out.push_back({inst.srcb.idx, sass::width_regs(inst.width)});
-  }
-  return out;
-}
-
-/// Predicates read at issue: the guard, plus SEL's selector.
-std::vector<int> pred_reads(const Instruction& inst) {
-  std::vector<int> out;
-  if (!inst.guard.is_pt()) out.push_back(inst.guard.idx);
-  if (inst.op == Opcode::kSel && !inst.pdst.is_pt()) out.push_back(inst.pdst.idx);
-  return out;
-}
-
-/// Predicate written (ISETP only), or -1.
-int pred_write(const Instruction& inst) {
-  if (inst.op == Opcode::kIsetp && !inst.pdst.is_pt()) return inst.pdst.idx;
-  return -1;
-}
-
 /// Max fixed latency of `prod` over the registers where `w` overlaps `r`.
-int raw_weight(const Instruction& prod, const RegRange& w, const RegRange& r,
-               sass::LatencyFn fixed) {
+int raw_weight(const Instruction& prod, const RegRange& w, const RegRange& r) {
   int out = 1;
   const int lo = std::max(w.lo, r.lo);
   const int hi = std::min(w.lo + w.count, r.lo + r.count);
-  for (int reg = lo; reg < hi; ++reg) out = std::max(out, fixed(prod, reg - w.lo));
+  for (int reg = lo; reg < hi; ++reg) out = std::max(out, sass::fixed_latency(prod, reg - w.lo));
   return out;
 }
 
@@ -161,24 +82,19 @@ std::vector<Block> partition(const std::vector<Instruction>& code) {
 /// carriers). Reordering therefore only hoists pure fixed-latency work into
 /// stall shadows; it can never migrate a wait to where it would block
 /// otherwise-overlappable work.
-std::vector<char> anchored_set(const std::vector<Instruction>& code, const Block& b) {
+std::vector<char> anchored_set(const std::vector<Instruction>& code,
+                               const std::vector<Footprint>& fp, const Block& b) {
   std::vector<char> anchored(static_cast<std::size_t>(b.e - b.s + 1), 0);
   std::vector<RegRange> load_dsts;
-  for (int pc = b.s; pc <= b.e; ++pc) {
-    const RegRange ld = load_dst_range(code[static_cast<std::size_t>(pc)]);
-    if (ld.count > 0) load_dsts.push_back(ld);
+  for (const Footprint& f : fp) {
+    if (f.load_dst.count > 0) load_dsts.push_back(f.load_dst);
   }
   for (int pc = b.s; pc <= b.e; ++pc) {
     const auto& inst = code[static_cast<std::size_t>(pc)];
+    const Footprint& f = fp[static_cast<std::size_t>(pc - b.s)];
     bool a = is_mio(inst.op) || is_control(inst.op);
-    if (!a) {
-      const RegRange fw = fixed_write_range(inst);
-      for (const RegRange& ld : load_dsts) {
-        if (overlaps(ld, fw)) a = true;
-        for (const RegRange& rr : issue_read_ranges(inst)) {
-          if (overlaps(ld, rr)) a = true;
-        }
-      }
+    for (const RegRange& ld : load_dsts) {
+      a = a || overlaps(ld, f.fixed_write) || f.reads_any(ld);
     }
     anchored[static_cast<std::size_t>(pc - b.s)] = a ? 1 : 0;
   }
@@ -190,8 +106,8 @@ std::vector<char> anchored_set(const std::vector<Instruction>& code, const Block
 /// visibility, 1 for pure ordering (WAR, MIO queue order, load consumers,
 /// BAR fences).
 std::vector<std::vector<std::pair<int, int>>> block_preds(const std::vector<Instruction>& code,
-                                                          const Block& b,
-                                                          const ScheduleOptions& opts) {
+                                                          const std::vector<Footprint>& fp,
+                                                          const Block& b) {
   const int n = b.e - b.s + 1;
   std::vector<std::vector<std::pair<int, int>>> preds(static_cast<std::size_t>(n));
   const auto add = [&](int i, int j, int w) {
@@ -199,11 +115,9 @@ std::vector<std::vector<std::pair<int, int>>> block_preds(const std::vector<Inst
   };
   for (int j = 1; j < n; ++j) {
     const Instruction& cj = code[static_cast<std::size_t>(b.s + j)];
-    const RegRange fwj = fixed_write_range(cj);
-    const RegRange ldj = load_dst_range(cj);
-    const auto readsj = issue_read_ranges(cj);
-    const auto predsj = pred_reads(cj);
-    const int pwj = pred_write(cj);
+    const Footprint& fj = fp[static_cast<std::size_t>(j)];
+    const RegRange& fwj = fj.fixed_write;
+    const RegRange wj = fwj.count > 0 ? fwj : fj.load_dst;
     for (int i = 0; i < j; ++i) {
       const Instruction& ci = code[static_cast<std::size_t>(b.s + i)];
       if (ci.op == Opcode::kBar || cj.op == Opcode::kBar) {
@@ -211,49 +125,45 @@ std::vector<std::vector<std::pair<int, int>>> block_preds(const std::vector<Inst
         continue;
       }
       int w = 0;
-      const RegRange fwi = fixed_write_range(ci);
-      const RegRange ldi = load_dst_range(ci);
+      const Footprint& fi = fp[static_cast<std::size_t>(i)];
+      const RegRange& fwi = fi.fixed_write;
       // RAW (fixed producer -> issue-time reader).
-      for (const RegRange& rr : readsj) {
-        if (overlaps(fwi, rr)) w = std::max(w, raw_weight(ci, fwi, rr, opts.fixed));
-        if (overlaps(ldi, rr)) w = std::max(w, 1);  // barrier carries the timing
+      for (const RegRange& rr : fj.reads) {
+        if (overlaps(fwi, rr)) w = std::max(w, raw_weight(ci, fwi, rr));
+        if (overlaps(fi.load_dst, rr)) w = std::max(w, 1);  // barrier carries the timing
       }
       // WAW on every write class; commit-order weight for fixed-fixed.
-      const RegRange wj = fwj.count > 0 ? fwj : ldj;
-      const RegRange wi = fwi.count > 0 ? fwi : ldi;
+      const RegRange wi = fwi.count > 0 ? fwi : fi.load_dst;
       if (overlaps(wi, wj)) {
         w = std::max(w, 1);
         if (fwi.count > 0 && fwj.count > 0) {
           const int lo = std::max(fwi.lo, fwj.lo);
           const int hi = std::min(fwi.lo + fwi.count, fwj.lo + fwj.count);
           for (int reg = lo; reg < hi; ++reg) {
-            w = std::max(w, opts.fixed(ci, reg - fwi.lo) - opts.fixed(cj, reg - fwj.lo));
+            w = std::max(w, sass::fixed_latency(ci, reg - fwi.lo) -
+                                sass::fixed_latency(cj, reg - fwj.lo));
           }
         }
       }
       // WAR: reads happen at issue, order suffices. MIO sources additionally
       // demand a read barrier later; the ordering edge keeps the overwriter
       // behind its victim.
-      const auto readsi = issue_read_ranges(ci);
-      for (const RegRange& rr : readsi) {
-        if (overlaps(rr, wj)) w = std::max(w, 1);
-      }
-      for (const RegRange& sr : mio_src_ranges(ci)) {
+      if (fi.reads_any(wj)) w = std::max(w, 1);
+      for (const RegRange& sr : fi.mio_srcs) {
         if (overlaps(sr, wj)) w = std::max(w, 1);
       }
       // MIO queue order (conservative aliasing; the queue is in-order anyway).
       if (is_mio(ci.op) && is_mio(cj.op)) w = std::max(w, 1);
       // Predicates.
-      const int pwi = pred_write(ci);
-      if (pwi >= 0) {
-        for (int p : predsj) {
-          if (p == pwi) w = std::max(w, opts.predicate_latency);
+      if (fi.pred_write >= 0) {
+        for (int p : fj.pred_reads) {
+          if (p == fi.pred_write) w = std::max(w, sass::kPredicateLatency);
         }
-        if (pwi == pwj) w = std::max(w, 1);  // WAW
+        if (fi.pred_write == fj.pred_write) w = std::max(w, 1);  // WAW
       }
-      if (pwj >= 0) {
-        for (int p : pred_reads(ci)) {
-          if (p == pwj) w = std::max(w, 1);  // WAR
+      if (fj.pred_write >= 0) {
+        for (int p : fi.pred_reads) {
+          if (p == fj.pred_write) w = std::max(w, 1);  // WAR
         }
       }
       if (w > 0) add(i, j, w);
@@ -264,11 +174,12 @@ std::vector<std::vector<std::pair<int, int>>> block_preds(const std::vector<Inst
 
 /// Greedy latency-aware list scheduling of one block. Returns the new order
 /// as original relative indices.
-std::vector<int> order_block(const std::vector<Instruction>& code, const Block& b,
-                             const ScheduleOptions& opts) {
+std::vector<int> order_block(const std::vector<Instruction>& code, const Block& b) {
   const int n = b.e - b.s + 1;
-  const auto preds = block_preds(code, b, opts);
-  const auto anchored = anchored_set(code, b);
+  const std::vector<Footprint> fp = sass::footprints(
+      std::span(code).subspan(static_cast<std::size_t>(b.s), static_cast<std::size_t>(n)));
+  const auto preds = block_preds(code, fp, b);
+  const auto anchored = anchored_set(code, fp, b);
   std::vector<char> issued(static_cast<std::size_t>(n), 0);
   std::vector<std::int64_t> issue_t(static_cast<std::size_t>(n), 0);
   std::vector<int> order;
@@ -324,8 +235,7 @@ struct PendingWrite {
 /// kernel loops are self-loops, so this costs nothing there); EXIT is a
 /// timing fence.
 std::vector<std::int64_t> issue_times(const std::vector<Instruction>& code,
-                                      const std::vector<Block>& blocks,
-                                      const ScheduleOptions& opts) {
+                                      const std::vector<Block>& blocks) {
   const int n = static_cast<int>(code.size());
   std::vector<char> self_loop_bra(static_cast<std::size_t>(n), 0);
   for (const Block& b : blocks) {
@@ -336,38 +246,41 @@ std::vector<std::int64_t> issue_times(const std::vector<Instruction>& code,
   std::array<PendingWrite, 8> preds{};
   for (int m = 0; m < n; ++m) {
     const Instruction& inst = code[static_cast<std::size_t>(m)];
+    const Footprint f = sass::footprint(inst);
     std::int64_t req = m == 0 ? 0 : t[static_cast<std::size_t>(m - 1)] + 1;
-    for (const RegRange& rr : issue_read_ranges(inst)) {
+    for (const RegRange& rr : f.reads) {
       for (int reg = rr.lo; reg < rr.lo + rr.count; ++reg) {
         const auto& w = regs[static_cast<std::size_t>(reg)];
         if (w.valid) req = std::max(req, w.t + w.lat);
       }
     }
-    for (int p : pred_reads(inst)) {
+    for (int p : f.pred_reads) {
+      if (p < 0) continue;
       const auto& w = preds[static_cast<std::size_t>(p)];
-      if (w.valid) req = std::max(req, w.t + opts.predicate_latency);
+      if (w.valid) req = std::max(req, w.t + sass::kPredicateLatency);
     }
-    const RegRange fw = fixed_write_range(inst);
+    const RegRange& fw = f.fixed_write;
     for (int reg = fw.lo; reg < fw.lo + fw.count; ++reg) {
       const auto& w = regs[static_cast<std::size_t>(reg)];
-      if (w.valid) req = std::max(req, w.t + w.lat - opts.fixed(inst, reg - fw.lo));
+      if (w.valid) req = std::max(req, w.t + w.lat - sass::fixed_latency(inst, reg - fw.lo));
     }
     if (inst.op == Opcode::kBra && !self_loop_bra[static_cast<std::size_t>(m)]) {
       // Forward (or multi-block backward) taken branch: every pending commit
       // must land before the target executes. The redirect gap is free.
       for (const auto& w : regs) {
-        if (w.valid) req = std::max(req, w.t + w.lat - opts.branch_redirect);
+        if (w.valid) req = std::max(req, w.t + w.lat - sass::kBranchRedirectCycles);
       }
       for (const auto& w : preds) {
-        if (w.valid) req = std::max(req, w.t + opts.predicate_latency - opts.branch_redirect);
+        if (w.valid) {
+          req = std::max(req, w.t + sass::kPredicateLatency - sass::kBranchRedirectCycles);
+        }
       }
     }
     t[static_cast<std::size_t>(m)] = req;
     for (int reg = fw.lo; reg < fw.lo + fw.count; ++reg) {
-      regs[static_cast<std::size_t>(reg)] = {req, opts.fixed(inst, reg - fw.lo), true};
+      regs[static_cast<std::size_t>(reg)] = {req, sass::fixed_latency(inst, reg - fw.lo), true};
     }
-    const int pw = pred_write(inst);
-    if (pw >= 0) preds[static_cast<std::size_t>(pw)] = {req, 0, true};
+    if (f.pred_write >= 0) preds[static_cast<std::size_t>(f.pred_write)] = {req, 0, true};
     if (inst.op == Opcode::kExit) {
       regs.fill({});
       preds.fill({});
@@ -381,8 +294,7 @@ std::vector<std::int64_t> issue_times(const std::vector<Instruction>& code,
 /// i+1 with no intervening same-register write) is covered:
 /// T >= latency + t_producer - t_consumer, with times local to the block.
 std::int64_t loop_required_length(const std::vector<Instruction>& code, const Block& b,
-                                  const std::vector<std::int64_t>& t,
-                                  const ScheduleOptions& opts) {
+                                  const std::vector<std::int64_t>& t) {
   std::int64_t need = 1;
   const auto lt = [&](int pc) {
     return t[static_cast<std::size_t>(pc)] - t[static_cast<std::size_t>(b.s)];
@@ -397,16 +309,18 @@ std::int64_t loop_required_length(const std::vector<Instruction>& code, const Bl
   std::map<int, std::vector<int>> pred_writes, pred_readers;
   for (int pc = b.s; pc <= b.e; ++pc) {
     const Instruction& inst = code[static_cast<std::size_t>(pc)];
-    const RegRange fw = fixed_write_range(inst);
+    const Footprint f = sass::footprint(inst);
+    const RegRange& fw = f.fixed_write;
     for (int reg = fw.lo; reg < fw.lo + fw.count; ++reg) {
-      regs[reg].writes.push_back({pc, opts.fixed(inst, reg - fw.lo)});
+      regs[reg].writes.push_back({pc, sass::fixed_latency(inst, reg - fw.lo)});
     }
-    for (const RegRange& rr : issue_read_ranges(inst)) {
+    for (const RegRange& rr : f.reads) {
       for (int reg = rr.lo; reg < rr.lo + rr.count; ++reg) regs[reg].reads.push_back(pc);
     }
-    for (int p : pred_reads(inst)) pred_readers[p].push_back(pc);
-    const int pw = pred_write(inst);
-    if (pw >= 0) pred_writes[pw].push_back(pc);
+    for (int p : f.pred_reads) {
+      if (p >= 0) pred_readers[p].push_back(pc);
+    }
+    if (f.pred_write >= 0) pred_writes[f.pred_write].push_back(pc);
   }
   for (auto& [reg, ev] : regs) {
     if (ev.writes.empty()) continue;
@@ -444,7 +358,7 @@ std::int64_t loop_required_length(const std::vector<Instruction>& code, const Bl
       for (int wpc : it->second) same_iter = same_iter || wpc < r;
       if (same_iter) continue;
       const int wpc = it->second.back();
-      need = std::max<std::int64_t>(need, opts.predicate_latency + lt(wpc) - lt(r));
+      need = std::max<std::int64_t>(need, sass::kPredicateLatency + lt(wpc) - lt(r));
     }
   }
   return need;
@@ -470,22 +384,16 @@ const Block* block_of(const std::vector<Block>& blocks, int pc) {
   return nullptr;
 }
 
-/// True when `inst` reads or writes a register in `r` (write demand) or
-/// overwrites one of the held source ranges (read demand).
-bool consumes(const Instruction& inst, const RegRange& r, bool write_demand,
-              const std::vector<RegRange>& held_srcs) {
+/// True when an instruction with footprint `f` reads or writes a register
+/// in `r` (write demand) or overwrites one of the held source ranges (read
+/// demand).
+bool consumes(const Footprint& f, const RegRange& r, bool write_demand,
+              const std::array<RegRange, 2>& held_srcs) {
   if (write_demand) {
-    for (const RegRange& rr : issue_read_ranges(inst)) {
-      if (overlaps(rr, r)) return true;
-    }
-    const RegRange fw = fixed_write_range(inst);
-    const RegRange ld = load_dst_range(inst);
-    return overlaps(fw, r) || overlaps(ld, r);
+    return f.reads_any(r) || overlaps(f.fixed_write, r) || overlaps(f.load_dst, r);
   }
-  const RegRange fw = fixed_write_range(inst);
-  const RegRange ld = load_dst_range(inst);
   for (const RegRange& sr : held_srcs) {
-    if (overlaps(fw, sr) || overlaps(ld, sr)) return true;
+    if (overlaps(f.fixed_write, sr) || overlaps(f.load_dst, sr)) return true;
   }
   return false;
 }
@@ -493,20 +401,22 @@ bool consumes(const Instruction& inst, const RegRange& r, bool write_demand,
 std::vector<Demand> collect_demands(const std::vector<Instruction>& code,
                                     const std::vector<Block>& blocks) {
   const int n = static_cast<int>(code.size());
+  const std::vector<Footprint> fp = sass::footprints(code);
   std::vector<Demand> demands;
   for (int pc = 0; pc < n; ++pc) {
     const Instruction& inst = code[static_cast<std::size_t>(pc)];
-    const RegRange ld = load_dst_range(inst);
+    const Footprint& f = fp[static_cast<std::size_t>(pc)];
+    const RegRange ld = f.load_dst;
     const bool store = inst.op == Opcode::kSts || inst.op == Opcode::kStg;
     if (ld.count == 0 && !store) continue;
     Demand d;
     d.setter = pc;
     d.setter_op = inst.op;
     d.write = ld.count > 0;
-    const std::vector<RegRange> held = d.write ? std::vector<RegRange>{} : mio_src_ranges(inst);
+    const std::array<RegRange, 2> held = d.write ? std::array<RegRange, 2>{} : f.mio_srcs;
     const Block* b = block_of(blocks, pc);
     const auto hit = [&](int j) {
-      return consumes(code[static_cast<std::size_t>(j)], ld, d.write, held);
+      return consumes(fp[static_cast<std::size_t>(j)], ld, d.write, held);
     };
     for (int j = pc + 1; j <= b->e && d.waiter < 0; ++j) {
       if (hit(j)) d.waiter = j;
@@ -868,11 +778,11 @@ int assign_reuse_flags(std::vector<Instruction>& code) {
     const auto pc = sass::pipe_class(cur.op);
     if (pc != sass::pipe_class(nxt.op)) continue;
     if (pc != sass::PipeClass::kTensor && pc != sass::PipeClass::kFma) continue;
-    const RegRange fw = fixed_write_range(cur);
+    const RegRange fw = sass::footprint(cur).fixed_write;
     for (int slot = 0; slot < 3; ++slot) {
       const sass::Reg r = slot_reg(cur, slot);
       if (r.is_rz() || !(r == slot_reg(nxt, slot))) continue;
-      if (fw.count > 0 && r.idx >= fw.lo && r.idx < fw.lo + fw.count) continue;
+      if (covers(fw, r.idx)) continue;
       cur.ctrl.reuse |= static_cast<std::uint8_t>(1u << slot);
       ++flags;
     }
@@ -887,7 +797,6 @@ int assign_reuse_flags(std::vector<Instruction>& code) {
 sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
                        ScheduleStats& stats) {
   stats = {};
-  TC_CHECK(opts.fixed != nullptr, "schedule(): latency oracle must not be null");
   for (std::size_t pc = 0; pc < virt.code.size(); ++pc) {
     const auto& c = virt.code[pc].ctrl;
     TC_CHECK(c.stall == 1 && c.write_barrier == sass::kNoBarrier &&
@@ -905,7 +814,7 @@ sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
   if (opts.reorder) {
     std::vector<Instruction> reordered = out.code;
     for (const Block& b : blocks) {
-      const std::vector<int> order = order_block(out.code, b, opts);
+      const std::vector<int> order = order_block(out.code, b);
       for (int slot = 0; slot < static_cast<int>(order.size()); ++slot) {
         reordered[static_cast<std::size_t>(b.s + slot)] =
             out.code[static_cast<std::size_t>(b.s + order[static_cast<std::size_t>(slot)])];
@@ -917,7 +826,7 @@ sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
 
   // Pass 3: minimal stalls via the global issue-time walk, then realize the
   // gaps as stall counts plus NOP padding, and pad self-loop back edges.
-  const std::vector<std::int64_t> t = issue_times(out.code, blocks, opts);
+  const std::vector<std::int64_t> t = issue_times(out.code, blocks);
   const int n = static_cast<int>(out.code.size());
   std::vector<int> stall(static_cast<std::size_t>(n), 1);
   std::vector<std::int64_t> pad_after(static_cast<std::size_t>(n), 0);
@@ -928,18 +837,18 @@ sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
   }
   for (const Block& b : blocks) {
     if (!b.self_loop) continue;
-    const std::int64_t t_min = loop_required_length(out.code, b, t, opts);
+    const std::int64_t t_min = loop_required_length(out.code, b, t);
     int& bra_stall = stall[static_cast<std::size_t>(b.e)];
     const std::int64_t body = t[static_cast<std::size_t>(b.e)] - t[static_cast<std::size_t>(b.s)];
-    std::int64_t have = body + std::max<std::int64_t>(bra_stall, opts.branch_redirect);
+    std::int64_t have = body + std::max<std::int64_t>(bra_stall, sass::kBranchRedirectCycles);
     if (have < t_min) {
       // First widen the branch's own stall (the taken advance is
       // max(stall, redirect), so only stalls past the redirect gain time).
       const int widened =
           static_cast<int>(std::min<std::int64_t>(15, std::max<std::int64_t>(bra_stall,
                                                                              t_min - body)));
-      have += std::max<std::int64_t>(widened, opts.branch_redirect) -
-              std::max<std::int64_t>(bra_stall, opts.branch_redirect);
+      have += std::max<std::int64_t>(widened, sass::kBranchRedirectCycles) -
+              std::max<std::int64_t>(bra_stall, sass::kBranchRedirectCycles);
       bra_stall = std::max(bra_stall, widened);
     }
     if (have < t_min && b.e > b.s) {
@@ -986,20 +895,18 @@ sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
   }
 
   // Pass 6: reuse flags.
-  if (opts.assign_reuse) stats.reuse_flags = assign_reuse_flags(out.code);
+  stats.reuse_flags = assign_reuse_flags(out.code);
 
   stats.instructions = static_cast<int>(out.code.size());
   for (const Instruction& inst : out.code) stats.static_issue_cycles += inst.ctrl.stall;
 
-  if (opts.verify) {
-    sass::validate(out);
-    const check::LatencyModel model{opts.fixed, opts.branch_redirect, opts.predicate_latency};
-    const auto diags = check::find_hazards(out, model);
-    if (!diags.empty()) {
-      std::string msg = "schedule(): hazard oracle rejected the result:";
-      for (const auto& d : diags) msg += "\n  " + sass::format(d);
-      TC_CHECK(false, msg);
-    }
+  // Postcondition: the result is valid and the hazard oracle finds nothing.
+  sass::validate(out);
+  const auto diags = check::find_hazards(out);
+  if (!diags.empty()) {
+    std::string msg = "schedule(): hazard oracle rejected the result:";
+    for (const auto& d : diags) msg += "\n  " + sass::format(d);
+    TC_CHECK(false, msg);
   }
   return out;
 }

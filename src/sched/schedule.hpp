@@ -35,13 +35,14 @@
 //     the same register in the same operand slot get the slot's reuse bit
 //     (perf-inert in the model, kept representable per the paper).
 //
-// The result is verified: sass::validate() plus check::find_hazards() with
-// zero diagnostics is a hard postcondition (ScheduleOptions::verify).
+// Register traffic comes from sass::footprint() (sass/footprint.hpp), the
+// model the hazard detector also reads. The result is verified:
+// sass::validate() plus check::find_hazards() with zero diagnostics is a hard
+// postcondition.
 #pragma once
 
 #include <cstdint>
 
-#include "sass/latency.hpp"
 #include "sass/program.hpp"
 
 namespace tc::sched {
@@ -52,16 +53,6 @@ struct ScheduleOptions {
   /// the "minimally correct" schedule used as the comparison baseline by
   /// `tcgemm_cli schedule`.
   bool reorder = true;
-  /// Assigns register reuse-cache flags (pass 6).
-  bool assign_reuse = true;
-  /// Latency oracle; defaults to the shared table the simulator executes.
-  sass::LatencyFn fixed = &sass::fixed_latency;
-  int predicate_latency = sass::kPredicateLatency;
-  int branch_redirect = sass::kBranchRedirectCycles;
-  /// Hard-gate the result through validate() + find_hazards() (throws
-  /// tc::Error when any diagnostic survives). Disable only in tests that
-  /// probe the passes individually.
-  bool verify = true;
 };
 
 /// Counters describing what the pipeline did; filled by schedule().
@@ -81,7 +72,7 @@ struct ScheduleStats {
 /// Schedules `virt` (a latency-agnostic program: every control word must be
 /// the default except predicates and yield hints) and returns the scheduled
 /// program. Throws tc::Error if `virt` already carries manual scheduling,
-/// or — with opts.verify — if the result fails the hazard oracle.
+/// or if the result fails the hazard oracle.
 [[nodiscard]] sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts,
                                      ScheduleStats& stats);
 [[nodiscard]] sass::Program schedule(const sass::Program& virt, const ScheduleOptions& opts = {});

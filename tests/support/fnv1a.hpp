@@ -2,17 +2,26 @@
 // regression pins in test_equivalence.cpp and the JIT engine-axis tests:
 // a pinned hash recorded under one engine must reproduce bit-for-bit under
 // every other engine, so all of them must hash the same way. The word form
-// pins integer counter sets (test_prof.cpp).
+// pins integer counter sets (test_prof.cpp); the text form pins analysis
+// output such as disassembly and diagnostics (test_sched.cpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 
 #include "common/half.hpp"
 #include "common/matrix.hpp"
 
 namespace tc::testsupport {
+
+/// FNV-1a 64 over the bytes of a string.
+inline std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : text) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+  return h;
+}
 
 /// FNV-1a 64 over a half buffer's bytes (low byte of each element first).
 inline std::uint64_t fnv1a_bits(const half* data, std::size_t count) {

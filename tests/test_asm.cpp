@@ -132,7 +132,18 @@ INSTANTIATE_TEST_SUITE_P(
         AsmDiagCase{"unknown_mma", "HMMA.1684.F16 R0, R2, R4, R0\nEXIT\n", 1,
                     "unknown MMA variant"},
         AsmDiagCase{"unknown_directive", ".kernel k\n.regs 40\nNOP\nEXIT\n", 2,
-                    "unknown directive"}),
+                    "unknown directive"},
+        // Directives take exactly one well-formed value.
+        AsmDiagCase{"smem_word", ".kernel k\n.smem abc\nEXIT\n", 2, "bad .smem value 'abc'"},
+        AsmDiagCase{"smem_suffix", ".smem 12abc\nEXIT\n", 1, "bad .smem value '12abc'"},
+        AsmDiagCase{"threads_word", "NOP\n.threads abc\nEXIT\n", 2,
+                    "bad .threads value 'abc'"},
+        AsmDiagCase{"threads_junk", ".threads 64 junk\nEXIT\n", 1,
+                    ".threads takes exactly one value"},
+        AsmDiagCase{"smem_bare", ".kernel k\n.smem\nEXIT\n", 2, ".smem takes exactly one value"},
+        AsmDiagCase{"kernel_bare", ".kernel\nEXIT\n", 1, ".kernel takes exactly one value"},
+        AsmDiagCase{"kernel_two_names", ".kernel a b\nEXIT\n", 1,
+                    ".kernel takes exactly one value"}),
     [](const auto& info) { return info.param.label; });
 
 TEST(Asm, TryAssembleReportsValidateFailuresWithoutALine) {
@@ -157,6 +168,9 @@ TEST(Asm, TryAssembleSucceedsOnGoodSourceAndMatchesAssemble) {
 
 void expect_same_program(const sass::Program& a, const sass::Program& b) {
   ASSERT_EQ(a.code.size(), b.code.size());
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.cta_threads, b.cta_threads);
+  EXPECT_EQ(a.smem_bytes, b.smem_bytes);
   EXPECT_EQ(a.num_regs, b.num_regs);
   EXPECT_EQ(a.num_param_words, b.num_param_words);
   for (std::size_t pc = 0; pc < a.code.size(); ++pc) {
@@ -186,6 +200,10 @@ TEST_P(AsmRoundTrip, DisassembleAssembleIsIdentity) {
   } else if (which == "hgemm_axpby") {
     original = core::hgemm_kernel(core::HgemmConfig::optimized(), {256, 256, 64},
                                   core::Epilogue{2.0f, -0.5f});
+  } else if (which == "hgemm_split_k") {
+    auto cfg = core::HgemmConfig::optimized();
+    cfg.split_k = 2;
+    original = core::hgemm_kernel(cfg, {256, 256, 256});
   } else if (which == "wmma_naive") {
     original = core::wmma_naive_kernel({64, 128, 64});
   } else if (which == "micro_hmma") {
@@ -196,16 +214,13 @@ TEST_P(AsmRoundTrip, DisassembleAssembleIsIdentity) {
     FAIL() << "unknown kernel " << which;
   }
 
-  std::string text = ".kernel " + original.name + "\n.threads " +
-                     std::to_string(original.cta_threads) + "\n.smem " +
-                     std::to_string(original.smem_bytes) + "\n" + original.disassemble();
-  const sass::Program back = sass::assemble(text);
-  expect_same_program(original, back);
+  expect_same_program(original, sass::assemble(original.disassemble()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, AsmRoundTrip,
                          ::testing::Values("hgemm_optimized", "hgemm_cublas", "hgemm_axpby",
-                                           "wmma_naive", "micro_hmma", "micro_lds"),
+                                           "hgemm_split_k", "wmma_naive", "micro_hmma",
+                                           "micro_lds"),
                          [](const auto& info) { return std::string(info.param); });
 
 TEST(AsmRoundTripScheduled, ControlWordsSurviveOnFuzzCorpus) {
@@ -216,12 +231,7 @@ TEST(AsmRoundTripScheduled, ControlWordsSurviveOnFuzzCorpus) {
   for (std::uint64_t seed = 900; seed < 925; ++seed) {
     const auto fuzz_case = sched::generate_virtual_case(seed, {});
     const auto scheduled = sched::schedule(fuzz_case.prog);
-    const std::string text = ".kernel " + scheduled.name + "\n.threads " +
-                             std::to_string(scheduled.cta_threads) + "\n.smem " +
-                             std::to_string(scheduled.smem_bytes) + "\n" +
-                             scheduled.disassemble();
-    const sass::Program back = sass::assemble(text);
-    expect_same_program(scheduled, back);
+    expect_same_program(scheduled, sass::assemble(scheduled.disassemble()));
     if (::testing::Test::HasFailure()) FAIL() << "round trip broke at seed " << seed;
   }
 }
@@ -231,9 +241,7 @@ TEST(Asm, AssembledHgemmComputesCorrectly) {
   // program functionally and compare against the reference.
   const GemmShape shape{256, 256, 64};
   const auto original = core::hgemm_kernel(core::HgemmConfig::optimized(), shape);
-  const std::string text = ".threads " + std::to_string(original.cta_threads) + "\n.smem " +
-                           std::to_string(original.smem_bytes) + "\n" + original.disassemble();
-  const auto prog = sass::assemble(text);
+  const auto prog = sass::assemble(original.disassemble());
 
   Rng rng(55);
   HalfMatrix a(shape.m, shape.k), bt(shape.n, shape.k);

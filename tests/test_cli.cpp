@@ -304,6 +304,12 @@ TEST(CliContract, EngineValidationIsPerCommand) {
   EXPECT_TRUE(fails("run --m 64 --n 64 --k 64 --engine model"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine jit"));
   EXPECT_TRUE(fails("fuzz --programs 2 --engine model"));
+  // perf flags that cannot apply are errors, not silent no-ops.
+  EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine device --profile"));
+  EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine device --trace-out t.json"));
+  EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine device --top 5"));
+  EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --trace-out t.json"));
+  EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --top 5"));
 }
 
 TEST(CliContract, RunBitAccurateCheckJson) {

@@ -16,10 +16,14 @@
 #include "common/rng.hpp"
 #include "core/kernel_gen.hpp"
 #include "driver/device.hpp"
+#include "op/op.hpp"
+#include "sass/asm_parser.hpp"
 #include "sass/builder.hpp"
 #include "sass/latency.hpp"
+#include "sass/validator.hpp"
 #include "sched/fuzz.hpp"
 #include "sched/schedule.hpp"
+#include "support/fnv1a.hpp"
 
 namespace tc::sched {
 namespace {
@@ -217,8 +221,8 @@ TEST(SchedKernelGen, VirtualProgramsCarryNoManualScheduling) {
 
 TEST(SchedKernelGen, EveryConfigSchedulesHazardFree) {
   // schedule() already hard-gates through find_hazards; assert the oracle's
-  // verdict independently here so a future verify=false shortcut cannot
-  // silently ship a hazardous kernel.
+  // verdict here too, outside the scheduler, so a kernel_gen path that
+  // bypassed schedule() could not ship a hazardous kernel unnoticed.
   for (const auto& cfg : all_hgemm_configs()) {
     const auto prog = core::hgemm_kernel(cfg, shape_for(cfg));
     const auto diags = check::find_hazards(prog, check::LatencyModel{});
@@ -290,6 +294,108 @@ TEST(SchedKernelGen, OptimizedKernelRunsTimedOnBothSpecs) {
   EXPECT_GT(on_t4, 0u);
   EXPECT_LT(on_t4, 200'000u);
   EXPECT_LT(on_2070, 200'000u);
+}
+
+// --- analysis pins -------------------------------------------------------------
+
+/// The instruction lines of a disassembly, without its header.
+std::string code_text(const sass::Program& p) {
+  std::string text;
+  for (const auto& inst : p.code) text += inst.to_string() + "\n";
+  return text;
+}
+
+std::string resource_line(const sass::Program& p) {
+  return std::to_string(p.num_regs) + " " + std::to_string(p.num_param_words) + "\n";
+}
+
+void expect_pinned(const std::string& text, std::uint64_t pin, const char* what) {
+  const std::uint64_t got = testsupport::fnv1a(text);
+  EXPECT_EQ(got, pin) << what << " now hashes to 0x" << std::hex << got;
+}
+
+TEST(Sched, OperandAnalysisOutputsArePinned) {
+  // Byte-level pins over everything that reads an instruction's register
+  // footprint: the scheduler's output, the hazard detector's diagnostics,
+  // both lint forms, and the builder's and assembler's register counts.
+  // Recorded before any of those analyses shared code.
+  std::string kernels;
+  std::string resources;
+  const auto schedule_both_ways = [&](const sass::Program& virt, std::string& out,
+                                      bool reassemble = true) {
+    resources += resource_line(virt);
+    ScheduleOptions minimal;
+    minimal.reorder = false;
+    for (const auto& prog : {schedule(virt, minimal), schedule(virt)}) {
+      out += prog.name + "\n" + code_text(prog);
+      if (reassemble) resources += resource_line(sass::assemble(prog.disassemble()));
+    }
+  };
+  for (const auto& cfg : all_hgemm_configs()) {
+    schedule_both_ways(core::hgemm_kernel_virtual(cfg, shape_for(cfg)), kernels);
+  }
+  schedule_both_ways(core::wmma_naive_kernel_virtual({16, 128, 64}), kernels);
+  // The op layer's fused epilogue, batched split-K main pass and reduce pass,
+  // rebuilt as virtual programs from each plan and checked against it. Their
+  // register counts are pinned from the builder; AsmRoundTrip reassembles
+  // the z-indexed kernels.
+  op::GemmOp fused;
+  fused.shape = {256, 256, 128};
+  fused.epilogue = {2.0f, -0.5f, false, core::Activation::kRelu};
+  op::GemmOp split = fused;
+  split.batch.count = 2;
+  split.split_k = 2;
+  split.epilogue = {1.5f, 0.0f, true, core::Activation::kGelu};
+  for (const op::GemmOp& gemm : {fused, split}) {
+    const op::OpPlan plan = op::lower(gemm, core::HgemmConfig::optimized());
+    const core::Epilogue main_ep = plan.fused ? gemm.epilogue.scalars() : core::Epilogue{};
+    const sass::Program main_virt = core::hgemm_kernel_virtual(
+        plan.cfg, plan.contract, main_ep, {.batched = gemm.batch.count > 1});
+    ASSERT_EQ(code_text(schedule(main_virt)), code_text(plan.launches[0].program));
+    schedule_both_ways(main_virt, kernels, false);
+    if (plan.fused) continue;
+    ASSERT_EQ(plan.launches.size(), 2u);
+    const sass::Program reduce_virt = core::reduce_epilogue_kernel_virtual(
+        {plan.contract.m, plan.contract.n, gemm.split_k, gemm.epilogue.scalars(),
+         gemm.epilogue.bias});
+    ASSERT_EQ(code_text(schedule(reduce_virt)), code_text(plan.launches[1].program));
+    schedule_both_ways(reduce_virt, kernels, false);
+  }
+  expect_pinned(kernels, 0xd3cc87f8facec8f3ull, "kernels");
+
+  std::string corpus;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    schedule_both_ways(generate_virtual_case(seed, SchedFuzzOptions{}).prog, corpus);
+  }
+  expect_pinned(corpus, 0x58ac3db2f595c00cull, "corpus");
+
+  // Hazard-free-by-construction fuzz programs as generated, then with a
+  // third of their stall counts cut to 1-3 and a fifth of their waits
+  // dropped, so every diagnostic kind and both lint forms fire.
+  std::string findings;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    sass::Program prog = check::generate_case(seed, check::FuzzOptions{}).prog;
+    resources += resource_line(prog);
+    for (int stripped = 0; stripped < 2; ++stripped) {
+      if (stripped != 0) {
+        Rng rng(seed);
+        for (auto& inst : prog.code) {
+          if (rng.next_below(3) == 0) {
+            inst.ctrl.stall = static_cast<std::uint8_t>(1 + rng.next_below(3));
+          }
+          if (rng.next_below(5) == 0) inst.ctrl.wait_mask = 0;
+        }
+      }
+      findings += "seed " + std::to_string(seed) + "\n";
+      for (const auto& d : check::find_hazards(prog)) {
+        findings += std::to_string(d.producer_pc) + " " + sass::format(d) + "\n";
+      }
+      for (const auto& w : sass::lint(prog)) findings += w + "\n";
+      for (const auto& w : sass::lint(prog, &sass::fixed_latency)) findings += w + "\n";
+    }
+  }
+  expect_pinned(findings, 0xbe753eb1b7c91860ull, "findings");
+  expect_pinned(resources, 0x581cf6fbed3a6cabull, "resources");
 }
 
 }  // namespace
