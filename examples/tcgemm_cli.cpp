@@ -43,11 +43,16 @@
 // replays seeded multi-tenant GEMM traffic through the serving layer
 // (tc::serve) against the same cache (see docs/serving.md).
 // All commands accept --json <path> for machine-readable output.
+#include <charconv>
+#include <climits>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "check/fuzz.hpp"
 #include "check/hazard.hpp"
@@ -117,6 +122,32 @@ struct Args {
   std::string act = "none";  // op: activation (none|relu|gelu)
 };
 
+/// Largest --m/--n/--k accepted.
+constexpr std::uint64_t kMaxDim = std::uint64_t{1} << 20;
+
+/// The value of numeric flag `flag`: all of `text` as a T in [lo, hi].
+/// Integer flags are sizes and counts, so they take decimal digits only (no
+/// sign); real flags take any finite decimal number. The error names the
+/// flag and the value.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text,
+               T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
+  static_assert(std::is_same_v<T, std::uint64_t> || std::is_same_v<T, double>);
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || stop != end || !(v >= lo && v <= hi)) {
+    std::ostringstream want;
+    if constexpr (std::is_integral_v<T>) {
+      want << "an integer in [" << lo << ", " << hi << "]";
+    } else {
+      want << "a finite number";
+    }
+    throw Error(flag + " takes " + want.str() + ", got '" + text + "'");
+  }
+  return v;
+}
+
 Args parse(int argc, char** argv) {
   Args a;
   if (argc < 2) return a;
@@ -127,16 +158,20 @@ Args parse(int argc, char** argv) {
       TC_CHECK(i + 1 < argc, "flag " + flag + " needs a value");
       return argv[++i];
     };
+    const auto dim = [&] { return parse_number<std::uint64_t>(flag, value(), 1, kMaxDim); };
+    const auto count = [&](std::uint64_t lo) {
+      return static_cast<int>(parse_number<std::uint64_t>(flag, value(), lo, INT_MAX));
+    };
     if (flag == "--m") {
-      a.m = std::stoul(value());
+      a.m = dim();
       a.shape_set = true;
       a.mn_set = true;
     } else if (flag == "--n") {
-      a.n = std::stoul(value());
+      a.n = dim();
       a.shape_set = true;
       a.mn_set = true;
     } else if (flag == "--k") {
-      a.k = std::stoul(value());
+      a.k = dim();
       a.shape_set = true;
       a.k_set = true;
     } else if (flag == "--device") {
@@ -150,12 +185,12 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--profile") {
       a.profile = true;
     } else if (flag == "--top") {
-      a.top = std::stoi(value());
+      a.top = count(0);
       a.top_set = true;
     } else if (flag == "--programs") {
-      a.programs = std::stoi(value());
+      a.programs = count(0);
     } else if (flag == "--seed") {
-      a.seed = std::stoull(value());
+      a.seed = parse_number<std::uint64_t>(flag, value());
     } else if (flag == "--trace-out") {
       a.trace_out = value();
     } else if (flag == "--json") {
@@ -169,19 +204,19 @@ Args parse(int argc, char** argv) {
                    a.engine == "jit" || a.engine == "timed",
                "--engine must be one of model|device|interpret|jit|timed");
     } else if (flag == "--budget") {
-      a.budget = std::stoi(value());
+      a.budget = count(1);
     } else if (flag == "--explore") {
-      a.explore = std::stoi(value());
+      a.explore = count(0);
     } else if (flag == "--threads") {
-      a.threads = std::stoi(value());
+      a.threads = count(1);
     } else if (flag == "--cache") {
       a.cache = value();
     } else if (flag == "--requests") {
-      a.requests = std::stoi(value());
+      a.requests = count(0);
     } else if (flag == "--tenants") {
-      a.tenants = std::stoi(value());
+      a.tenants = count(1);
     } else if (flag == "--workers") {
-      a.workers = std::stoi(value());
+      a.workers = count(1);
     } else if (flag == "--numerics") {
       const std::string v = value();
       TC_CHECK(numerics::parse_numerics_mode(v, a.numerics),
@@ -189,13 +224,13 @@ Args parse(int argc, char** argv) {
     } else if (flag == "--numeric-operands") {
       a.numeric_operands = true;
     } else if (flag == "--batch") {
-      a.batch = std::stoi(value());
+      a.batch = count(1);
     } else if (flag == "--split-k") {
-      a.split_k = std::stoi(value());
+      a.split_k = count(1);
     } else if (flag == "--alpha") {
-      a.alpha = std::stod(value());
+      a.alpha = parse_number<double>(flag, value());
     } else if (flag == "--beta") {
-      a.beta = std::stod(value());
+      a.beta = parse_number<double>(flag, value());
     } else if (flag == "--bias") {
       a.bias = true;
     } else if (flag == "--act") {
@@ -222,6 +257,14 @@ Args parse(int argc, char** argv) {
     a.k = 64;
   }
   return a;
+}
+
+bool known_command(const std::string& command) {
+  for (const char* c : {"run", "perf", "lint", "schedule", "disasm", "check", "fuzz", "numerics",
+                        "tune", "serve", "op"}) {
+    if (command == c) return true;
+  }
+  return false;
 }
 
 int usage() {
@@ -260,8 +303,8 @@ GemmShape contract_shape(const Args& args, const core::HgemmConfig& cfg) {
   return cfg.contract_shape({args.m, args.n, args.k});
 }
 
-void json_profile_fields(JsonWriter& j, const prof::Profiler& p, int top_n) {
-  const auto& c = p.counters();
+void json_profile_fields(JsonWriter& j, const prof::Profiler& p, const prof::CounterSet& c,
+                         int top_n) {
   j.key("profile");
   j.begin_object();
   j.field("cycles", c.cycles);
@@ -272,14 +315,14 @@ void json_profile_fields(JsonWriter& j, const prof::Profiler& p, int top_n) {
     j.key(prof::pipe_name(pipe));
     j.begin_object();
     j.field("issued", c.pipe_issue[static_cast<std::size_t>(pipe)]);
-    j.field("busy_cycles", c.pipe_busy[static_cast<std::size_t>(pipe)]);
+    j.field("busy_cycles", c.busy_cycles(pipe));
     j.field("utilization", c.utilization(pipe, p.partitions()));
     j.end_object();
   }
   j.end_object();
   j.field("l2_port_utilization", c.l2_port_utilization());
-  j.field("bw_debt_stall_cycles", c.bw_debt_stall_cycles);
-  j.field("smem_bank_replays", c.smem_bank_replays);
+  j.field("bw_debt_stall_cycles", c.mio_bw_stall);
+  j.field("smem_bank_replays", c.smem_beats - c.smem_phases);
   j.field("mshr_highwater", c.mshr_highwater);
   j.field("mio_queue_highwater", c.mio_queue_highwater);
   j.field("ldg_count", c.ldg_count);
@@ -306,6 +349,7 @@ void json_profile_fields(JsonWriter& j, const prof::Profiler& p, int top_n) {
 int main(int argc, char** argv) {
   try {
     const Args args = parse(argc, argv);
+    if (!known_command(args.command)) return usage();
     auto cfg =
         args.baseline ? core::HgemmConfig::cublas_like() : core::HgemmConfig::optimized();
     cfg.numerics = args.numerics;
@@ -457,13 +501,13 @@ int main(int argc, char** argv) {
         std::cout << "\nsteady-state profile (" << hp.iterations << " main-loop iterations, "
                   << hp.ctas_per_sm << " CTAs/SM, L2 hit "
                   << fmt_fixed(hp.l2_hit_rate, 2) << "):\n";
-        hp.profiler.print_report(std::cout, args.top);
+        hp.profiler.print_report(std::cout, hp.counters, args.top);
         if (trace) {
           trace->write_file(args.trace_out);
           std::cout << "trace written to " << args.trace_out
                     << " (load in chrome://tracing or https://ui.perfetto.dev)\n";
         }
-        if (json) json_profile_fields(*json, hp.profiler, args.top);
+        if (json) json_profile_fields(*json, hp.profiler, hp.counters, args.top);
       }
       finish_json();
       return 0;
@@ -584,8 +628,10 @@ int main(int argc, char** argv) {
     }
 
     if (args.command == "disasm") {
-      const GemmShape shape = contract_shape(args, cfg);
-      std::cout << core::hgemm_kernel(cfg, shape).disassemble();
+      const sass::Program prog = core::hgemm_kernel(cfg, contract_shape(args, cfg));
+      std::cout << prog.disassemble();
+      if (json) json->field("instructions", static_cast<std::uint64_t>(prog.code.size()));
+      finish_json();
       return 0;
     }
 
@@ -1051,7 +1097,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    return usage();
+    TC_ASSERT(false, "unhandled command " + args.command);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

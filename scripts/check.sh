@@ -24,12 +24,13 @@ echo "== schedule checks: kernel hazard scan + fuzz smoke + device/L2 xval =="
 # device's emergent sector-cache hit rate for every launch order.
 ctest --test-dir build --output-on-failure -L "fuzz_smoke|device_xval|l2_xval"
 
-echo "== timed-device determinism gate: two processes per spec + recorded result =="
+echo "== timed-device determinism gate: two processes per spec + recorded results =="
 # The perf JSON holds only simulated results, so any byte difference between
 # two runs of one launch is nondeterminism. Separate processes catch what the
 # in-process repeatability test cannot, such as ordering by host pointer
 # under ASLR. The recorded fixture catches a change that moves both runs
-# alike (rtx2070: 43,855 device cycles).
+# alike (rtx2070: 43,855 device cycles). The perf --profile report and its
+# JSON are recorded too, so a counter or attribution change shows here.
 for dev in rtx2070 t4; do
   for run in 1 2; do
     ./build/examples/tcgemm_cli perf --device "$dev" --m 1024 --n 1024 --k 256 \
@@ -37,6 +38,12 @@ for dev in rtx2070 t4; do
   done
   cmp "build/determinism_${dev}_1.json" "build/determinism_${dev}_2.json"
   cmp "build/determinism_${dev}_1.json" "tests/golden/perf_device_${dev}.json"
+  ./build/examples/tcgemm_cli perf --device "$dev" --m 1024 --n 1024 --k 256 \
+    --profile >"build/perf_profile_${dev}.txt"
+  ./build/examples/tcgemm_cli perf --device "$dev" --m 1024 --n 1024 --k 256 \
+    --profile --json "build/perf_profile_${dev}.json" >/dev/null
+  cmp "build/perf_profile_${dev}.txt" "tests/golden/perf_profile_${dev}.txt"
+  cmp "build/perf_profile_${dev}.json" "tests/golden/perf_profile_${dev}.json"
 done
 
 echo "== jit gate: differential layer + compiled-engine CLI smoke =="

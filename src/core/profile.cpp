@@ -17,8 +17,8 @@ int surrogate_ctas_per_sm(const device::DeviceSpec& spec, const HgemmConfig& cfg
   return device::occupancy(spec, prog).ctas_per_sm;
 }
 
-sim::TimedStats run_steady_surrogate(const device::DeviceSpec& spec, const HgemmConfig& cfg,
-                                     int ctas_per_sm, const SurrogateOptions& opt) {
+prof::CounterSet run_steady_surrogate(const device::DeviceSpec& spec, const HgemmConfig& cfg,
+                                      int ctas_per_sm, const SurrogateOptions& opt) {
   // The surrogate grid is ctas_per_sm x 1 blocks tall so every resident CTA
   // exists; k = iterations * bk sets the main-loop trip count.
   const GemmShape s{static_cast<std::size_t>(cfg.bm) * static_cast<std::size_t>(ctas_per_sm),
@@ -89,7 +89,7 @@ HgemmProfile profile_hgemm(const device::DeviceSpec& spec, const HgemmConfig& cf
   opt.l2_hit_rate = out.l2_hit_rate;
   opt.dram_efficiency = out.dram_efficiency;
   opt.profiler = &out.profiler;
-  out.stats = run_steady_surrogate(spec, cfg, out.ctas_per_sm, opt);
+  out.counters = run_steady_surrogate(spec, cfg, out.ctas_per_sm, opt);
   return out;
 }
 
@@ -100,27 +100,19 @@ ObservedPipeCycles observe_pipe_cycles(const device::DeviceSpec& spec, const Hge
   // Table VI's CPI inputs assume LDGs served from L2 at full DRAM health.
   const int it1 = 6;
   const int it2 = 14;
-  prof::Profiler p1;
-  prof::Profiler p2;
   SurrogateOptions opt;
   opt.l2_hit_rate = 1.0;
   opt.dram_efficiency = 1.0;
   opt.iterations = it1;
-  opt.profiler = &p1;
-  run_steady_surrogate(spec, cfg, out.ctas_per_sm, opt);
+  const prof::CounterSet c1 = run_steady_surrogate(spec, cfg, out.ctas_per_sm, opt);
   opt.iterations = it2;
-  opt.profiler = &p2;
-  run_steady_surrogate(spec, cfg, out.ctas_per_sm, opt);
+  const prof::CounterSet c2 = run_steady_surrogate(spec, cfg, out.ctas_per_sm, opt);
 
-  const auto& c1 = p1.counters();
-  const auto& c2 = p2.counters();
   const double cta_iters = static_cast<double>(it2 - it1) * out.ctas_per_sm;
   const int partitions = spec.processing_blocks_per_sm;
 
-  const auto d_tensor = static_cast<double>(c2.pipe_busy[prof::kPipeTensor] -
-                                            c1.pipe_busy[prof::kPipeTensor]);
-  const auto d_mio =
-      static_cast<double>(c2.pipe_busy[prof::kPipeMio] - c1.pipe_busy[prof::kPipeMio]);
+  const auto d_tensor = static_cast<double>(c2.tensor_busy - c1.tensor_busy);
+  const auto d_mio = static_cast<double>(c2.mio_busy - c1.mio_busy);
   const double d_port = c2.l2_port_busy_cycles - c1.l2_port_busy_cycles;
 
   out.tensor_cycles = d_tensor / (cta_iters * partitions);

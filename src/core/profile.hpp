@@ -3,11 +3,12 @@
 // PerfEstimator (hgemm.hpp) runs a small surrogate kernel — `ctas_per_sm`
 // resident CTAs, a short main loop, the SM's fair bandwidth share — to
 // measure cycles per iteration. The functions here run the *same* surrogate
-// with a tc::prof::Profiler attached, so the counters describe exactly the
-// workload whose timing the estimator reports:
+// and read its counters, so they describe exactly the workload whose timing
+// the estimator reports:
 //
-//  * profile_hgemm:        one profiled run sized after a target GEMM shape
-//                          (pipe utilization, stall table, optional trace).
+//  * profile_hgemm:        one run sized after a target GEMM shape with a
+//                          tc::prof::Profiler attached (pipe utilization,
+//                          stall table, optional trace).
 //  * observe_pipe_cycles:  differential two-run measurement of per-iteration
 //                          tensor and memory-IO cycles — the *observed*
 //                          counterpart of the analytic Table VI columns in
@@ -37,15 +38,15 @@ struct SurrogateOptions {
 [[nodiscard]] int surrogate_ctas_per_sm(const device::DeviceSpec& spec, const HgemmConfig& cfg);
 
 /// Runs `ctas_per_sm` resident CTAs of the surrogate on one simulated SM
-/// with its fair bandwidth share and returns the timing stats.
-sim::TimedStats run_steady_surrogate(const device::DeviceSpec& spec, const HgemmConfig& cfg,
-                                     int ctas_per_sm, const SurrogateOptions& opt);
+/// with its fair bandwidth share and returns the run's counters.
+prof::CounterSet run_steady_surrogate(const device::DeviceSpec& spec, const HgemmConfig& cfg,
+                                      int ctas_per_sm, const SurrogateOptions& opt);
 
-/// Result of profile_hgemm. `profiler` is sealed (end_run called); query
-/// counters(), hot_pcs() or print_report() directly.
+/// Result of profile_hgemm: the run's counters and the profiler's
+/// attribution; `profiler.print_report(os, counters)` renders both.
 struct HgemmProfile {
   prof::Profiler profiler;
-  sim::TimedStats stats;
+  prof::CounterSet counters;
   double l2_hit_rate = 0.0;
   double dram_efficiency = 1.0;
   int iterations = 0;

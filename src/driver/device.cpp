@@ -9,9 +9,9 @@ sim::FunctionalStats Device::launch(const sim::Launch& launch) {
   return exec.run(launch);
 }
 
-sim::TimedStats Device::run_timed(const sim::Launch& launch,
-                                  std::span<const sim::CtaCoord> ctas,
-                                  const sim::TimedConfig& cfg) {
+prof::CounterSet Device::run_timed(const sim::Launch& launch,
+                                   std::span<const sim::CtaCoord> ctas,
+                                   const sim::TimedConfig& cfg) {
   sim::TimedSm sm(cfg, gmem_);
   return sm.run(launch, ctas);
 }

@@ -62,8 +62,8 @@ class Device {
 
   /// Runs `ctas` resident on one simulated SM with cycle-level timing.
   /// `cfg_overrides` starts from a default TimedConfig for this device.
-  sim::TimedStats run_timed(const sim::Launch& launch, std::span<const sim::CtaCoord> ctas,
-                            const sim::TimedConfig& cfg);
+  prof::CounterSet run_timed(const sim::Launch& launch, std::span<const sim::CtaCoord> ctas,
+                             const sim::TimedConfig& cfg);
 
   /// Runs the whole grid on the cycle-level multi-SM simulator (shared
   /// L2/DRAM, dynamic CTA dispatch — see sim/timed_device.hpp). Functional

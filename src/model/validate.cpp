@@ -26,8 +26,8 @@ namespace {
 /// Stacking them along grid_y instead would let the L1 deduplicate their
 /// (identical) B columns — halving the surrogate's DRAM traffic for
 /// smem-less kernels like wmma_naive and skewing the steady state fast.
-sim::TimedStats run_surrogate(const device::DeviceSpec& spec, const ValidateKernelInput& kin,
-                              int iterations, double l2_hit_rate, double dram_efficiency) {
+prof::CounterSet run_surrogate(const device::DeviceSpec& spec, const ValidateKernelInput& kin,
+                               int iterations, double l2_hit_rate, double dram_efficiency) {
   const GemmShape s{
       static_cast<std::size_t>(kin.bm),
       static_cast<std::size_t>(kin.bn) * static_cast<std::size_t>(kin.ctas_per_sm),

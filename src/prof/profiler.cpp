@@ -54,10 +54,9 @@ std::string mem_op_name(bool is_global, bool is_store, int width_bits) {
 int Profiler::warp_track(int warp) const { return partitions_ * 3 + 1 + warp; }
 
 void Profiler::begin_run(const sass::Program& prog, int partitions, int num_warps) {
-  counters_ = CounterSet{};
-  counters_.sched.assign(static_cast<std::size_t>(partitions), SchedCounters{});
   pc_counters_.assign(prog.code.size(), PcCounters{});
   warp_counters_.assign(static_cast<std::size_t>(num_warps), WarpCounters{});
+  idle_by_reason_.assign(static_cast<std::size_t>(partitions), {});
   inst_text_.clear();
   inst_text_.reserve(prog.code.size());
   for (const auto& inst : prog.code) inst_text_.push_back(inst.to_string());
@@ -77,25 +76,14 @@ void Profiler::begin_run(const sass::Program& prog, int partitions, int num_warp
   }
 }
 
-void Profiler::end_run(std::uint64_t cycles) { counters_.cycles = cycles; }
-
 void Profiler::on_issue(int partition, int warp, int pc, const sass::Instruction& inst,
                         std::uint64_t now, int occupancy, int stall) {
-  ++counters_.instructions;
-  const int pipe = static_cast<int>(sass::pipe_class(inst.op));
-  ++counters_.pipe_issue[static_cast<std::size_t>(pipe)];
-  if (pipe == kPipeTensor || pipe == kPipeFma || pipe == kPipeAlu || pipe == kPipeSpecial) {
-    // Special-register reads share the ALU datapath; fold them in there so
-    // pipe_busy[kPipeAlu] matches what the engine's alu_free tracking does.
-    const int busy_pipe = pipe == kPipeSpecial ? kPipeAlu : pipe;
-    counters_.pipe_busy[static_cast<std::size_t>(busy_pipe)] +=
-        static_cast<std::uint64_t>(occupancy);
-  }
   ++pc_counters_[static_cast<std::size_t>(pc)].issued;
   ++warp_counters_[static_cast<std::size_t>(warp)].issued;
 
   if (trace_ != nullptr) {
     const std::string name = sass::opcode_name(inst.op);
+    const int pipe = static_cast<int>(sass::pipe_class(inst.op));
     if (pipe == kPipeTensor || pipe == kPipeFma || pipe == kPipeAlu) {
       trace_->event(partition * 3 + (pipe - kPipeTensor), name, now,
                     static_cast<std::uint64_t>(occupancy));
@@ -109,70 +97,16 @@ void Profiler::on_warp_stall(int warp, int pc, StallReason reason, std::uint64_t
   warp_counters_[static_cast<std::size_t>(warp)].stall_cycles[static_cast<int>(reason)] += cycles;
 }
 
-void Profiler::on_sched_cycle(int partition, bool issued, StallReason dominant,
-                              std::uint64_t cycles) {
-  auto& s = counters_.sched[static_cast<std::size_t>(partition)];
-  if (issued) {
-    s.issue_cycles += cycles;
-  } else {
-    s.idle_cycles += cycles;
-    s.idle_by_reason[static_cast<int>(dominant)] += cycles;
-  }
-}
-
-void Profiler::on_mem_issue(bool is_global, bool is_store, int active_lanes, int width_bytes) {
-  const auto bytes = static_cast<std::uint64_t>(active_lanes) * width_bytes;
-  if (is_global) {
-    if (is_store) {
-      ++counters_.stg_count;
-      counters_.stg_bytes += bytes;
-    } else {
-      ++counters_.ldg_count;
-      counters_.ldg_bytes += bytes;
-    }
-  } else {
-    if (is_store) {
-      ++counters_.sts_count;
-      counters_.sts_bytes += bytes;
-    } else {
-      ++counters_.lds_count;
-      counters_.lds_bytes += bytes;
-    }
-  }
+void Profiler::on_sched_idle(int partition, StallReason dominant, std::uint64_t cycles) {
+  idle_by_reason_[static_cast<std::size_t>(partition)][static_cast<int>(dominant)] += cycles;
 }
 
 void Profiler::on_mio_service(bool is_global, bool is_store, int width_bits, std::uint64_t now,
-                              std::uint64_t busy_cycles, double port_busy_cycles,
-                              std::uint64_t bw_delay_cycles) {
-  counters_.pipe_busy[kPipeMio] += busy_cycles;
-  counters_.l2_port_busy_cycles += port_busy_cycles;
-  counters_.bw_debt_stall_cycles += bw_delay_cycles;
+                              std::uint64_t busy_cycles) {
   if (trace_ != nullptr) {
     trace_->event(partitions_ * 3, mem_op_name(is_global, is_store, width_bits), now,
                   std::max<std::uint64_t>(busy_cycles, 1));
   }
-}
-
-void Profiler::on_smem_classified(int beats, int phases) {
-  counters_.smem_bank_replays += static_cast<std::uint64_t>(beats - phases);
-  counters_.smem_phases += static_cast<std::uint64_t>(phases);
-}
-
-void Profiler::on_global_classified(double l1_bytes, double l2_bytes, double dram_bytes) {
-  counters_.l1_bytes += l1_bytes;
-  counters_.l2_bytes += l2_bytes;
-  counters_.dram_bytes += dram_bytes;
-  counters_.l1_sectors += static_cast<std::uint64_t>(l1_bytes / 32.0 + 0.5);
-  counters_.l2_sectors += static_cast<std::uint64_t>(l2_bytes / 32.0 + 0.5);
-  counters_.dram_sectors += static_cast<std::uint64_t>(dram_bytes / 32.0 + 0.5);
-}
-
-void Profiler::on_mshr_occupancy(int outstanding) {
-  counters_.mshr_highwater = std::max(counters_.mshr_highwater, outstanding);
-}
-
-void Profiler::on_mio_queue_depth(int depth) {
-  counters_.mio_queue_highwater = std::max(counters_.mio_queue_highwater, depth);
 }
 
 std::vector<HotPc> Profiler::hot_pcs(int n) const {
@@ -200,8 +134,7 @@ std::vector<HotPc> Profiler::hot_pcs(int n) const {
   return all;
 }
 
-void Profiler::print_report(std::ostream& os, int top_n) const {
-  const auto& c = counters_;
+void Profiler::print_report(std::ostream& os, const CounterSet& c, int top_n) const {
   const auto pct = [](double v) { return fmt_fixed(v * 100.0, 1) + "%"; };
 
   os << "== profile: " << program_name_ << " ==\n";
@@ -212,12 +145,12 @@ void Profiler::print_report(std::ostream& os, int top_n) const {
     TablePrinter t({"pipe", "issued", "busy_cycles", "utilization"});
     for (const int pipe : {kPipeTensor, kPipeFma, kPipeAlu, kPipeMio}) {
       t.add_row({pipe_name(pipe), std::to_string(c.pipe_issue[pipe]),
-                 std::to_string(c.pipe_busy[pipe]), pct(c.utilization(pipe, partitions_))});
+                 std::to_string(c.busy_cycles(pipe)), pct(c.utilization(pipe, partitions_))});
     }
     t.add_row({"l2_port", "-", fmt_fixed(c.l2_port_busy_cycles, 0),
                pct(c.l2_port_utilization())});
     t.print(os);
-    os << "bw-debt stall cycles " << c.bw_debt_stall_cycles << ", MSHR high-water "
+    os << "bw-debt stall cycles " << c.mio_bw_stall << ", MSHR high-water "
        << c.mshr_highwater << ", MIO queue high-water " << c.mio_queue_highwater << "\n\n";
   }
 
@@ -228,29 +161,26 @@ void Profiler::print_report(std::ostream& os, int top_n) const {
     t.add_row({"LDS", std::to_string(c.lds_count), std::to_string(c.lds_bytes)});
     t.add_row({"STS", std::to_string(c.sts_count), std::to_string(c.sts_bytes)});
     t.print(os);
-    os << "smem bank replays " << c.smem_bank_replays << " (conflict factor "
-       << fmt_fixed(c.smem_phases ? 1.0 + static_cast<double>(c.smem_bank_replays) /
-                                              static_cast<double>(c.smem_phases)
-                                  : 1.0,
-                    2)
-       << "); sectors L1 " << c.l1_sectors << " / L2 " << c.l2_sectors << " / DRAM "
-       << c.dram_sectors << "\n\n";
+    os << "smem bank replays " << c.smem_beats - c.smem_phases << " (conflict factor "
+       << fmt_fixed(c.smem_conflict_factor(), 2) << "); sectors L1 " << c.l1_sectors
+       << " / L2 " << c.l2_sectors << " / DRAM " << c.dram_sectors << "\n\n";
   }
 
   {
     TablePrinter t({"scheduler", "issue_cycles", "idle_cycles", "top_idle_reason"});
     for (std::size_t p = 0; p < c.sched.size(); ++p) {
       const auto& s = c.sched[p];
+      const auto& idle = idle_by_reason_[p];
       int top = 0;
       for (int r = 1; r < kNumStallReasons; ++r) {
-        if (s.idle_by_reason[r] > s.idle_by_reason[top]) top = r;
+        if (idle[r] > idle[top]) top = r;
       }
       t.add_row({"p" + std::to_string(p), std::to_string(s.issue_cycles),
                  std::to_string(s.idle_cycles),
                  s.idle_cycles == 0
                      ? "-"
                      : std::string(stall_reason_name(static_cast<StallReason>(top))) + " (" +
-                           pct(static_cast<double>(s.idle_by_reason[top]) /
+                           pct(static_cast<double>(idle[top]) /
                                static_cast<double>(s.idle_cycles)) +
                            ")"});
     }

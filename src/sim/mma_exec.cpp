@@ -131,11 +131,14 @@ void exec_imma_8816_s8(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg
     for (int j = 0; j < 8; ++j) {
       const int lane = i * 4 + j / 2;
       const int g = j % 2;
-      std::int32_t acc = c.is_rz() ? 0 : static_cast<std::int32_t>(regs.read(offset(c, g), lane));
+      // IMMA wraps modulo 2^32 like the hardware; accumulate unsigned so the
+      // wrap is defined behaviour.
+      std::uint32_t acc = c.is_rz() ? 0 : regs.read(offset(c, g), lane);
       for (int kk = 0; kk < 16; ++kk) {
-        acc += static_cast<std::int32_t>(A[i][kk]) * static_cast<std::int32_t>(B[kk][j]);
+        acc += static_cast<std::uint32_t>(static_cast<std::int32_t>(A[i][kk]) *
+                                          static_cast<std::int32_t>(B[kk][j]));
       }
-      sink.gpr(offset(d, g), lane, static_cast<std::uint32_t>(acc));
+      sink.gpr(offset(d, g), lane, acc);
     }
   }
 }

@@ -8,25 +8,6 @@
 
 namespace tc::sim {
 
-namespace {
-
-void accumulate(TimedStats& total, const TimedStats& s) {
-  total.instructions += s.instructions;
-  total.hmma_count += s.hmma_count;
-  total.tensor_busy += s.tensor_busy;
-  total.fma_busy += s.fma_busy;
-  total.alu_busy += s.alu_busy;
-  total.mio_busy += s.mio_busy;
-  total.mio_bw_stall += s.mio_bw_stall;
-  total.l1_bytes += s.l1_bytes;
-  total.l2_bytes += s.l2_bytes;
-  total.dram_bytes += s.dram_bytes;
-  total.smem_beats += s.smem_beats;
-  total.smem_phases += s.smem_phases;
-}
-
-}  // namespace
-
 TimedDevice::TimedDevice(TimedDeviceConfig cfg, mem::GlobalMemory& gmem)
     : cfg_(cfg), gmem_(gmem) {
   TC_CHECK(cfg_.ctas_per_sm > 0, "ctas_per_sm must be positive");
@@ -105,10 +86,9 @@ DeviceResult TimedDevice::run(const Launch& launch) {
   res.per_sm.reserve(sms.size());
   for (auto& sm : sms) {
     res.per_sm.push_back(sm->finish());
-    res.device_cycles = std::max(res.device_cycles, res.per_sm.back().cycles);
-    accumulate(res.total, res.per_sm.back());
+    res.total += res.per_sm.back();
   }
-  res.total.cycles = res.device_cycles;
+  res.device_cycles = res.total.cycles;
   res.l2_hit_rate =
       cfg_.forced_l2_hit_rate >= 0.0 ? cfg_.forced_l2_hit_rate : shared.l2_hit_rate();
   res.ctas_run = source.issued();

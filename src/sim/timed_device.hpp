@@ -45,11 +45,12 @@ struct TimedDeviceConfig {
 struct DeviceResult {
   /// Device kernel time: the cycle the last SM drained (max over SMs).
   std::uint64_t device_cycles = 0;
-  /// Per-SM stats; `cycles` of an early-drained SM is its own finish time,
-  /// so the spread between min and max is the tail-wave imbalance.
-  std::vector<TimedStats> per_sm;
-  /// Sums over SMs (cycles field = device_cycles).
-  TimedStats total;
+  /// Per-SM counters; `cycles` of an early-drained SM is its own finish
+  /// time, so the spread between min and max is the tail-wave imbalance.
+  std::vector<prof::CounterSet> per_sm;
+  /// The fold of per_sm (CounterSet::operator+=): counts summed, high-water
+  /// marks and `cycles` the max over SMs, so cycles == device_cycles.
+  prof::CounterSet total;
   /// Emergent device-wide L2 sector hit rate (shared tag array).
   double l2_hit_rate = 0.0;
   /// CTAs dispensed (== grid size when the run completes).

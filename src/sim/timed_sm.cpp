@@ -142,7 +142,7 @@ struct TimedSm::Impl {
   std::vector<std::uint64_t> mshr_release;
   std::vector<BarrierRelease> releases;
   std::vector<int> free_slots;  // retired CTA slots awaiting refill
-  TimedStats stats;
+  prof::CounterSet counters;
   CaptureSink sink;
   std::uint64_t now = 0;
   // The next cycle step_cycle must run: now after a cycle that changed
@@ -239,12 +239,12 @@ struct TimedSm::Impl {
     op.need_l2_tokens = l2_bytes + dram_bytes;
     op.need_dram_tokens = dram_bytes;
     op.latency = dram_bytes > 0 ? lat.dram : (l2_bytes > 0 ? lat.l2 : lat.l1);
-    stats.l1_bytes += l1_bytes;
-    stats.l2_bytes += l2_bytes;
-    stats.dram_bytes += dram_bytes;
-    if (cfg.profiler != nullptr) {
-      cfg.profiler->on_global_classified(l1_bytes, l2_bytes, dram_bytes);
-    }
+    counters.l1_bytes += l1_bytes;
+    counters.l2_bytes += l2_bytes;
+    counters.dram_bytes += dram_bytes;
+    counters.l1_sectors += static_cast<std::uint64_t>(l1_bytes / mem::kSectorBytes + 0.5);
+    counters.l2_sectors += static_cast<std::uint64_t>(l2_bytes / mem::kSectorBytes + 0.5);
+    counters.dram_sectors += static_cast<std::uint64_t>(dram_bytes / mem::kSectorBytes + 0.5);
   }
 
   void classify_smem(MioOp& op) {
@@ -254,11 +254,8 @@ struct TimedSm::Impl {
     const sass::Opcode opc = op.access.is_store ? sass::Opcode::kSts : sass::Opcode::kLds;
     op.cost = smem_base_cost(opc, op.access.width) * cost.conflict_factor();
     op.latency = lat.smem;
-    stats.smem_beats += static_cast<std::uint64_t>(cost.beats);
-    stats.smem_phases += static_cast<std::uint64_t>(cost.phases);
-    if (cfg.profiler != nullptr) {
-      cfg.profiler->on_smem_classified(cost.beats, cost.phases);
-    }
+    counters.smem_beats += static_cast<std::uint64_t>(cost.beats);
+    counters.smem_phases += static_cast<std::uint64_t>(cost.phases);
   }
 
   void begin(const Launch& l, std::span<const CtaCoord> initial, CtaSource* src) {
@@ -287,8 +284,8 @@ struct TimedSm::Impl {
     num_warps = static_cast<int>(warps.size());
     alive = num_warps;
 
-    // Profiling is off unless the caller attached a Profiler; every hook site
-    // below is guarded by this one pointer test.
+    // Attribution is off unless the caller attached a Profiler; every hook
+    // site below is guarded by this one pointer test. The counters are not.
     prof = cfg.profiler;
     if (prof != nullptr) prof->begin_run(*prog, partitions, num_warps);
     warp_state.clear();
@@ -305,7 +302,8 @@ struct TimedSm::Impl {
     mshr_release.clear();
     releases.clear();
     free_slots.clear();
-    stats = TimedStats{};
+    counters = prof::CounterSet{};
+    counters.sched.assign(static_cast<std::size_t>(partitions), prof::SchedCounters{});
     forced_l2_accum = 0.0;
     now = 0;
     idle_until = 0;
@@ -446,6 +444,30 @@ struct TimedSm::Impl {
     return dominant;
   }
 
+  /// Charges `cycles` idle cycles to partition p's scheduler and, when
+  /// profiling, attributes them and the blocked warps' stall cycles.
+  void sched_idle(int p, std::uint64_t cycles) {
+    counters.sched[static_cast<std::size_t>(p)].idle_cycles += cycles;
+    if (prof != nullptr) prof->on_sched_idle(p, charge_stalls(p, -1, cycles), cycles);
+  }
+
+  /// Counts a memory instruction entering the MIO queue: its class, the
+  /// bytes its active lanes request, and the queue's depth.
+  void count_mem_issue(const MemAccess& m) {
+    int active_lanes = 0;
+    for (bool a : m.active) active_lanes += a ? 1 : 0;
+    const auto bytes = static_cast<std::uint64_t>(active_lanes) * sass::width_bytes(m.width);
+    if (m.is_global) {
+      ++(m.is_store ? counters.stg_count : counters.ldg_count);
+      (m.is_store ? counters.stg_bytes : counters.ldg_bytes) += bytes;
+    } else {
+      ++(m.is_store ? counters.sts_count : counters.lds_count);
+      (m.is_store ? counters.sts_bytes : counters.lds_bytes) += bytes;
+    }
+    counters.mio_queue_highwater =
+        std::max(counters.mio_queue_highwater, static_cast<int>(mio_queue.size()));
+  }
+
   void step_cycle() {
     TC_CHECK(now < cfg.max_cycles, "timed simulation exceeded max_cycles (deadlock?)");
     if (cfg.shared == nullptr) {
@@ -509,17 +531,16 @@ struct TimedSm::Impl {
         changed = true;
         const auto cost_cycles = static_cast<std::uint64_t>(op.cost + 0.999);
         mio_free = now + cost_cycles;
-        stats.mio_busy += cost_cycles;
+        counters.mio_busy += cost_cycles;
 
         std::uint64_t arrive = mio_free + static_cast<std::uint64_t>(op.latency);
-        double port_busy_cycles = 0.0;
-        std::uint64_t bw_delay_cycles = 0;
         if (op.access.is_global && op.port_bytes > 0.0) {
           // Serialize through the L2-to-SM return port, then apply device
           // bandwidth debt (shortage delays completion, not the pipe).
           const double port_busy = op.port_bytes / cfg.spec.l2_port_bytes_per_cycle;
           const double data_ready = std::max(static_cast<double>(now), port_free) + port_busy;
           port_free = data_ready;
+          counters.l2_port_busy_cycles += port_busy;
           double bw_delay;
           if (cfg.shared != nullptr) {
             // Device-shared budgets: all SMs' withdrawals deepen one common
@@ -531,7 +552,7 @@ struct TimedSm::Impl {
             bw_delay = std::max(l2_bw.consume_with_debt(op.need_l2_tokens),
                                 dram_bw.consume_with_debt(op.need_dram_tokens));
           }
-          stats.mio_bw_stall += static_cast<std::uint64_t>(bw_delay);
+          counters.mio_bw_stall += static_cast<std::uint64_t>(bw_delay);
           arrive = static_cast<std::uint64_t>(data_ready + bw_delay) +
                    static_cast<std::uint64_t>(op.latency);
           // Stores are fire-and-forget into L2 (write-back); only loads hold
@@ -539,15 +560,12 @@ struct TimedSm::Impl {
           if (!op.access.is_store) {
             ++outstanding;
             mshr_release.push_back(arrive);
-            if (prof != nullptr) prof->on_mshr_occupancy(outstanding);
+            counters.mshr_highwater = std::max(counters.mshr_highwater, outstanding);
           }
-          port_busy_cycles = port_busy;
-          bw_delay_cycles = static_cast<std::uint64_t>(bw_delay);
         }
         if (prof != nullptr) {
           prof->on_mio_service(op.access.is_global, op.access.is_store,
-                               static_cast<int>(op.access.width), now, cost_cycles,
-                               port_busy_cycles, bw_delay_cycles);
+                               static_cast<int>(op.access.width), now, cost_cycles);
         }
 
         TWarp& w = *warps[static_cast<std::size_t>(op.warp)];
@@ -614,24 +632,24 @@ struct TimedSm::Impl {
         } else {
           r = exec_step(ctx, inst, sink);
         }
-        ++stats.instructions;
-        if (sass::is_mma(inst.op)) ++stats.hmma_count;
+        ++counters.instructions;
+        ++counters.pipe_issue[static_cast<std::size_t>(pclass)];
 
         // Occupy the pipe.
         const int occ = pipe_occupancy(inst);
         switch (pclass) {
           case sass::PipeClass::kTensor:
             tensor_free[static_cast<std::size_t>(p)] = now + static_cast<std::uint64_t>(occ);
-            stats.tensor_busy += static_cast<std::uint64_t>(occ);
+            counters.tensor_busy += static_cast<std::uint64_t>(occ);
             break;
           case sass::PipeClass::kFma:
             fma_free[static_cast<std::size_t>(p)] = now + static_cast<std::uint64_t>(occ);
-            stats.fma_busy += static_cast<std::uint64_t>(occ);
+            counters.fma_busy += static_cast<std::uint64_t>(occ);
             break;
           case sass::PipeClass::kAlu:
           case sass::PipeClass::kSpecial:
             alu_free[static_cast<std::size_t>(p)] = now + static_cast<std::uint64_t>(occ);
-            stats.alu_busy += static_cast<std::uint64_t>(occ);
+            counters.alu_busy += static_cast<std::uint64_t>(occ);
             break;
           default:
             break;
@@ -648,13 +666,7 @@ struct TimedSm::Impl {
           if (op.write_barrier != sass::kNoBarrier) ++w.scoreboard[op.write_barrier];
           if (op.read_barrier != sass::kNoBarrier) ++w.scoreboard[op.read_barrier];
           mio_queue.push_back(std::move(op));
-          if (prof != nullptr) {
-            int active_lanes = 0;
-            for (bool a : r.mem.active) active_lanes += a ? 1 : 0;
-            prof->on_mem_issue(r.mem.is_global, r.mem.is_store, active_lanes,
-                               sass::width_bytes(r.mem.width));
-            prof->on_mio_queue_depth(static_cast<int>(mio_queue.size()));
-          }
+          count_mem_issue(r.mem);
         } else {
           for (const auto& cw : sink.gprs) {
             const int off = cw.reg.idx - inst.dst.idx;
@@ -699,17 +711,17 @@ struct TimedSm::Impl {
         changed = true;
       }
 
-      // Profiling post-pass: charge each blocked warp one stall cycle at its
-      // current PC, report the issue, and attribute this scheduler cycle.
-      if (prof != nullptr) {
-        const prof::StallReason dominant = charge_stalls(p, issued_warp, 1);
-        if (issued_warp >= 0) {
+      // Count this scheduler cycle. Profiling post-pass: charge each
+      // blocked warp one stall cycle at its current PC and report the issue.
+      if (issued_warp >= 0) {
+        ++counters.sched[static_cast<std::size_t>(p)].issue_cycles;
+        if (prof != nullptr) {
+          charge_stalls(p, issued_warp, 1);
           prof->on_issue(p, issued_warp, issued_pc, *issued_inst, now,
                          pipe_occupancy(*issued_inst), issued_inst->ctrl.stall);
-          prof->on_sched_cycle(p, true, prof::StallReason::kNoInstruction, 1);
-        } else {
-          prof->on_sched_cycle(p, false, dominant, 1);
         }
+      } else {
+        sched_idle(p, 1);
       }
     }
 
@@ -778,11 +790,7 @@ struct TimedSm::Impl {
       dram_bw.tick(cycles);
       l2_bw.tick(cycles);
     }
-    if (prof != nullptr) {
-      for (int p = 0; p < partitions; ++p) {
-        prof->on_sched_cycle(p, false, charge_stalls(p, -1, cycles), cycles);
-      }
-    }
+    for (int p = 0; p < partitions; ++p) sched_idle(p, cycles);
     // warp_state_of settles a warp once per cycle unless it is dead, at a
     // barrier or inside its stall-count window, none of which changes
     // inside the window; settling at each due cycle commits the same writes
@@ -795,7 +803,7 @@ struct TimedSm::Impl {
     now = cycle;
   }
 
-  TimedStats finish() {
+  prof::CounterSet finish() {
     TC_CHECK(running, "finish() without begin()");
     // Flush remaining writebacks — registers AND predicates — so functional
     // state is complete. Predicates used to be left pending here, which made
@@ -813,11 +821,9 @@ struct TimedSm::Impl {
       }
     }
 
-    if (prof != nullptr) prof->end_run(now);
-
-    stats.cycles = now;
+    counters.cycles = now;
     running = false;
-    return stats;
+    return counters;
   }
 };
 
@@ -826,7 +832,7 @@ TimedSm::TimedSm(TimedConfig cfg, mem::GlobalMemory& gmem)
 
 TimedSm::~TimedSm() = default;
 
-TimedStats TimedSm::run(const Launch& launch, std::span<const CtaCoord> ctas) {
+prof::CounterSet TimedSm::run(const Launch& launch, std::span<const CtaCoord> ctas) {
   impl_->begin(launch, ctas, nullptr);
   while (!impl_->is_done()) {
     impl_->skip_to(impl_->idle_until);
@@ -861,6 +867,6 @@ std::uint64_t TimedSm::idle_until() const { return impl_->idle_until; }
 
 void TimedSm::skip_to(std::uint64_t cycle) { impl_->skip_to(cycle); }
 
-TimedStats TimedSm::finish() { return impl_->finish(); }
+prof::CounterSet TimedSm::finish() { return impl_->finish(); }
 
 }  // namespace tc::sim

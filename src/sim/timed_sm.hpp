@@ -27,6 +27,7 @@
 #include "mem/global_mem.hpp"
 #include "mem/sector_cache.hpp"
 #include "mem/token_bucket.hpp"
+#include "prof/counters.hpp"
 #include "sim/launch.hpp"
 
 namespace tc::prof {
@@ -163,10 +164,10 @@ struct TimedConfig {
 
   std::uint64_t max_cycles = 4'000'000'000ull;
 
-  /// Optional profiler (see src/prof). When null — the default — the engine
-  /// takes one well-predicted branch per hook site and is otherwise
-  /// unchanged; when set, hardware-style counters, stall attribution and
-  /// (if a TraceWriter is attached) a timeline are collected for this run.
+  /// Optional profiler (see src/prof). The run's counters come back from
+  /// run()/finish() either way; when set, the engine also attributes stall
+  /// cycles per warp, per PC and per scheduler and (if a TraceWriter is
+  /// attached) streams a timeline. Attaching one changes no cycle or count.
   prof::Profiler* profiler = nullptr;
 
   /// Optional divergence probe: when set, each warp's final committed
@@ -184,31 +185,6 @@ struct TimedConfig {
   int sm_id = 0;
 };
 
-struct TimedStats {
-  std::uint64_t cycles = 0;
-  std::uint64_t instructions = 0;
-  std::uint64_t hmma_count = 0;
-  /// Partition-cycles each pipe was busy (sum over the 4 partitions).
-  std::uint64_t tensor_busy = 0;
-  std::uint64_t fma_busy = 0;
-  std::uint64_t alu_busy = 0;
-  /// Cycles the MIO unit was serving an operation / blocked on bandwidth.
-  std::uint64_t mio_busy = 0;
-  std::uint64_t mio_bw_stall = 0;
-  /// Bytes moved by serving level.
-  double l1_bytes = 0.0;
-  double l2_bytes = 0.0;
-  double dram_bytes = 0.0;
-  /// Shared-memory conflict accounting: beats/phases ratio > 1 = conflicts.
-  std::uint64_t smem_beats = 0;
-  std::uint64_t smem_phases = 0;
-
-  [[nodiscard]] double smem_conflict_factor() const {
-    return smem_phases == 0 ? 1.0
-                            : static_cast<double>(smem_beats) / static_cast<double>(smem_phases);
-  }
-};
-
 class TimedSm {
  public:
   TimedSm(TimedConfig cfg, mem::GlobalMemory& gmem);
@@ -216,11 +192,11 @@ class TimedSm {
   TimedSm(const TimedSm&) = delete;
   TimedSm& operator=(const TimedSm&) = delete;
 
-  /// Runs the given resident CTAs of `launch` to completion and returns
-  /// cycle-level statistics. Functional side effects (global stores) are
-  /// applied to the bound GlobalMemory. Idle stretches are skipped (see
-  /// skip_to), with the result of stepping every cycle.
-  TimedStats run(const Launch& launch, std::span<const CtaCoord> ctas);
+  /// Runs the given resident CTAs of `launch` to completion and returns its
+  /// counters. Functional side effects (global stores) are applied to the
+  /// bound GlobalMemory. Idle stretches are skipped (see skip_to), with the
+  /// result of stepping every cycle.
+  prof::CounterSet run(const Launch& launch, std::span<const CtaCoord> ctas);
 
   /// Steppable interface, used by sim::TimedDevice to interleave several SMs
   /// cycle-by-cycle on shared memory-system state. `begin` fills up to
@@ -228,13 +204,13 @@ class TimedSm {
   /// refilled from `source` until it is drained (dynamic refill, like the
   /// GigaThread engine — not wave-by-wave). `step` advances exactly one
   /// cycle and returns false once the SM has drained; `finish` flushes
-  /// writebacks and returns the stats. Stepping until done is the lockstep
-  /// reference the event skip below is held to.
+  /// writebacks and returns the counters. Stepping until done is the
+  /// lockstep reference the event skip below is held to.
   void begin(const Launch& launch, CtaSource& source, int resident_ctas);
   bool step();
   [[nodiscard]] bool done() const;
   [[nodiscard]] std::uint64_t now() const;
-  TimedStats finish();
+  prof::CounterSet finish();
 
   /// Event skip. After a step in which nothing but the clock changed (no
   /// issue, memory service, scoreboard or MSHR release, barrier release or

@@ -4,6 +4,7 @@
 // external tooling (and tests/test_golden.cpp-style goldens) anchor on, so
 // renaming one is a breaking schema change and should fail here first.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +38,19 @@ JsonValue run_cli(const std::string& args) {
   const auto doc = json_parse(read_file(out));
   std::filesystem::remove(out);
   return doc;
+}
+
+/// Exit code of `tcgemm_cli <args>`, with stdout discarded and stderr kept in
+/// `err`.
+int run_cli_status(const std::string& args, std::string& err) {
+  const auto err_path = std::filesystem::temp_directory_path() /
+                        ("tc_cli_" + std::to_string(std::hash<std::string>{}(args)) + ".err");
+  const std::string cmd =
+      std::string(TC_CLI_BIN) + " " + args + " > /dev/null 2> " + err_path.string();
+  const int rc = std::system(cmd.c_str());
+  err = read_file(err_path);
+  std::filesystem::remove(err_path);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 /// The tc-cli-v1 header every command writes before its payload.
@@ -310,6 +324,47 @@ TEST(CliContract, EngineValidationIsPerCommand) {
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine device --top 5"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --trace-out t.json"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --top 5"));
+}
+
+TEST(CliContract, Disasm) {
+  const JsonValue doc = run_cli("disasm");
+  expect_header(doc, "disasm");
+  EXPECT_GT(doc.at("instructions").as_number(), 0.0);
+}
+
+TEST(CliContract, UnknownCommandOpensNoJson) {
+  const auto out = std::filesystem::temp_directory_path() / "tc_cli_unknown_command.json";
+  std::filesystem::remove(out);
+  std::string err;
+  EXPECT_EQ(run_cli_status("bogus --json " + out.string(), err), 2);  // usage
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(CliContract, NumericFlagsNameTheBadValue) {
+  // Every numeric flag reads its whole value: trailing junk, a sign on a
+  // size or count, and out-of-range values fail with exit code 1 and an
+  // error naming the flag and the value, never a partial parse.
+  struct Case {
+    const char* args;
+    const char* flag;
+    const char* value;
+  };
+  for (const Case& c : {Case{"perf --m abc", "--m", "abc"},
+                        Case{"perf --m 12abc --n 256 --k 64", "--m", "12abc"},
+                        Case{"run --m -1", "--m", "-1"},
+                        Case{"perf --m -1", "--m", "-1"},
+                        Case{"perf --k 0", "--k", "0"},
+                        Case{"tune --top abc", "--top", "abc"},
+                        Case{"tune --budget 99999999999", "--budget", "99999999999"},
+                        Case{"fuzz --seed 1x", "--seed", "1x"},
+                        Case{"op --split-k +2", "--split-k", "+2"},
+                        Case{"op --alpha nan", "--alpha", "nan"}}) {
+    std::string err;
+    EXPECT_EQ(run_cli_status(c.args, err), 1) << c.args;
+    EXPECT_NE(err.find(c.flag), std::string::npos) << c.args << ": " << err;
+    EXPECT_NE(err.find(std::string("'") + c.value + "'"), std::string::npos)
+        << c.args << ": " << err;
+  }
 }
 
 TEST(CliContract, RunBitAccurateCheckJson) {

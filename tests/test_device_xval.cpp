@@ -281,6 +281,46 @@ TEST(DeviceXval, SubWaveGridPrimesEverySm) {
   for (const auto& s : ores.per_sm) EXPECT_GT(s.instructions, 0u);
 }
 
+TEST(DeviceXval, TotalIsTheFoldOfPerSm) {
+  // DeviceResult::total is CounterSet::operator+= over per_sm: counts add,
+  // high-water marks and cycles take the max, so total.cycles is the device
+  // time. A cublas_like grid of two CTAs per SM on 8 SMs, emergent L2.
+  const auto spec = device::rtx2070();
+  const auto cfg = core::HgemmConfig::cublas_like();
+  const GemmShape shape{256, 1024, 128};
+  const sass::Program prog = core::hgemm_kernel(cfg, shape);
+  mem::GlobalMemory gmem;
+  sim::Launch launch;
+  launch.program = &prog;
+  launch.grid_x = static_cast<std::uint32_t>(shape.n / static_cast<std::size_t>(cfg.bn));
+  launch.grid_y = static_cast<std::uint32_t>(shape.m / static_cast<std::size_t>(cfg.bm));
+  launch.params = {gmem.alloc(shape.m * shape.k * 2), gmem.alloc(shape.n * shape.k * 2),
+                   gmem.alloc(shape.m * shape.n * 2)};
+  sim::TimedDeviceConfig dc;
+  dc.spec = spec;
+  dc.ctas_per_sm = 2;
+  dc.skip_mma_math = true;
+  const sim::DeviceResult res = sim::TimedDevice(dc, gmem).run(launch);
+  ASSERT_EQ(res.per_sm.size(), 8u);
+
+  prof::CounterSet fold;
+  std::uint64_t max_cycles = 0;
+  std::uint64_t instructions = 0;
+  int mshr_highwater = 0;
+  for (const auto& s : res.per_sm) {
+    fold += s;
+    max_cycles = std::max(max_cycles, s.cycles);
+    instructions += s.instructions;
+    mshr_highwater = std::max(mshr_highwater, s.mshr_highwater);
+  }
+  testsupport::expect_same_counters(res.total, fold);
+  EXPECT_EQ(res.total.cycles, res.device_cycles);
+  EXPECT_EQ(res.device_cycles, max_cycles);
+  EXPECT_EQ(res.total.instructions, instructions);
+  EXPECT_EQ(res.total.mshr_highwater, mshr_highwater);
+  EXPECT_GT(res.total.dram_bytes, 0.0);
+}
+
 /// TimedDevice::run as it was before event skip, over the public TimedSm
 /// API: one TimedSm per SM on a SharedMemSystem, every SM stepping every
 /// cycle, the round's first SM rotating with the cycle. The oracle the
@@ -316,23 +356,10 @@ sim::DeviceResult run_lockstep_device(const sim::TimedDeviceConfig& dc,
   sim::DeviceResult res;
   res.sms_used = sms_used;
   for (auto& sm : sms) {
-    const sim::TimedStats s = sm->finish();
-    res.per_sm.push_back(s);
-    res.device_cycles = std::max(res.device_cycles, s.cycles);
-    res.total.instructions += s.instructions;
-    res.total.hmma_count += s.hmma_count;
-    res.total.tensor_busy += s.tensor_busy;
-    res.total.fma_busy += s.fma_busy;
-    res.total.alu_busy += s.alu_busy;
-    res.total.mio_busy += s.mio_busy;
-    res.total.mio_bw_stall += s.mio_bw_stall;
-    res.total.l1_bytes += s.l1_bytes;
-    res.total.l2_bytes += s.l2_bytes;
-    res.total.dram_bytes += s.dram_bytes;
-    res.total.smem_beats += s.smem_beats;
-    res.total.smem_phases += s.smem_phases;
+    res.per_sm.push_back(sm->finish());
+    res.total += res.per_sm.back();
   }
-  res.total.cycles = res.device_cycles;
+  res.device_cycles = res.total.cycles;
   res.l2_hit_rate = dc.forced_l2_hit_rate >= 0.0 ? dc.forced_l2_hit_rate : shared.l2_hit_rate();
   res.ctas_run = source->issued();
   return res;
@@ -346,9 +373,9 @@ void expect_same_result(const sim::DeviceResult& a, const sim::DeviceResult& b) 
   ASSERT_EQ(a.per_sm.size(), b.per_sm.size());
   for (std::size_t i = 0; i < a.per_sm.size(); ++i) {
     SCOPED_TRACE("SM " + std::to_string(i));
-    testsupport::expect_same_stats(a.per_sm[i], b.per_sm[i]);
+    testsupport::expect_same_counters(a.per_sm[i], b.per_sm[i]);
   }
-  testsupport::expect_same_stats(a.total, b.total);
+  testsupport::expect_same_counters(a.total, b.total);
 }
 
 /// One device launch of `prog` over `shape` with random A and B^T, run by

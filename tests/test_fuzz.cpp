@@ -185,7 +185,7 @@ TEST(FuzzSmoke, NumericOperandsBitAccurateSweep) {
 struct TimedOutcome {
   std::string error;
   std::uint64_t now = 0;
-  sim::TimedStats stats;
+  prof::CounterSet counters;
   prof::Profiler profiler;
   sim::StateProbe probe;
   std::vector<std::uint8_t> out;
@@ -222,7 +222,7 @@ void run_timed(const FuzzCase& c, bool skip, TimedOutcome& o) {
       while (sm.step()) {
       }
     }
-    o.stats = sm.finish();
+    o.counters = sm.finish();
   } catch (const Error& e) {
     const std::string what = e.what();
     o.error = what.substr(what.find(": ") + 2);
@@ -238,7 +238,7 @@ TEST(FuzzSmoke, EventSkipMatchesSteppingEveryCycle) {
   // lose some at random (a third of stall counts cut to 1-3 cycles, a fifth
   // of scoreboard waits dropped), so register values hang on exactly when
   // each writeback lands, and some runs end in an exception. Skipping must
-  // reproduce all of it: registers, memory, stats, profile, and where and
+  // reproduce all of it: registers, memory, counters, attribution, and where and
   // how a run failed.
   int failed_runs = 0;
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
@@ -263,9 +263,8 @@ TEST(FuzzSmoke, EventSkipMatchesSteppingEveryCycle) {
       ASSERT_EQ(step.error, skip.error);
       ASSERT_EQ(step.now, skip.now);
       failed_runs += step.error.empty() ? 0 : 1;
-      testsupport::expect_same_stats(step.stats, skip.stats);
-      testsupport::expect_same_counters(step.profiler.counters(), skip.profiler.counters());
-      testsupport::expect_same_hot_pcs(step.profiler.hot_pcs(16), skip.profiler.hot_pcs(16));
+      testsupport::expect_same_counters(step.counters, skip.counters);
+      testsupport::expect_same_attribution(step.profiler, skip.profiler);
       EXPECT_EQ(sim::StateProbe::diff(step.probe, skip.probe, 2, "step", "skip"), "");
       EXPECT_TRUE(step.out == skip.out) << "output buffer differs";
       if (HasFailure()) return;

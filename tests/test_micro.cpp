@@ -13,7 +13,6 @@ namespace {
 
 struct ClockedRun {
   double cpi = 0.0;
-  sim::TimedStats stats;
 };
 
 /// Runs a single-CTA clocked loop kernel and extracts lane 0's CPI.
@@ -27,7 +26,7 @@ ClockedRun run_clocked(driver::Device& dev, const sass::Program& prog, int unrol
 
   const sim::CtaCoord cta{0, 0};
   ClockedRun r;
-  r.stats = dev.run_timed(launch, std::span(&cta, 1), dev.timing_whole_device());
+  dev.run_timed(launch, std::span(&cta, 1), dev.timing_whole_device());
 
   std::vector<std::uint32_t> clocks(64);
   dev.download(std::span(clocks.data(), clocks.size()), out);

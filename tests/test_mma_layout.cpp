@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -199,16 +200,10 @@ TEST_F(MmaFixture, Hmma884ComputesSingleTile) {
   }
 }
 
-TEST(Imma, Int8MatrixMultiply) {
-  WarpRegs regs;
-  // A[i][kk] = i + kk (mod 7) - 3, B[kk][j] = kk - j (mod 5) - 2.
-  std::int8_t A[8][16], B[16][8];
-  for (int i = 0; i < 8; ++i) {
-    for (int kk = 0; kk < 16; ++kk) A[i][kk] = static_cast<std::int8_t>((i + kk) % 7 - 3);
-  }
-  for (int kk = 0; kk < 16; ++kk) {
-    for (int j = 0; j < 8; ++j) B[kk][j] = static_cast<std::int8_t>((kk - j) % 5 - 2);
-  }
+/// Writes the IMMA.8816 operands A (8x16 s8) and B (16x8 s8) into R0 and R1
+/// in the lane layout exec_imma_8816_s8 reads.
+void load_imma_operands(WarpRegs& regs, const std::int8_t (&A)[8][16],
+                        const std::int8_t (&B)[16][8]) {
   for (int lane = 0; lane < 32; ++lane) {
     std::uint32_t aw = 0, bw = 0;
     for (int byte = 0; byte < 4; ++byte) {
@@ -222,6 +217,19 @@ TEST(Imma, Int8MatrixMultiply) {
     regs.write_now(sass::Reg{0}, lane, aw);
     regs.write_now(sass::Reg{1}, lane, bw);
   }
+}
+
+TEST(Imma, Int8MatrixMultiply) {
+  WarpRegs regs;
+  // A[i][kk] = i + kk (mod 7) - 3, B[kk][j] = kk - j (mod 5) - 2.
+  std::int8_t A[8][16], B[16][8];
+  for (int i = 0; i < 8; ++i) {
+    for (int kk = 0; kk < 16; ++kk) A[i][kk] = static_cast<std::int8_t>((i + kk) % 7 - 3);
+  }
+  for (int kk = 0; kk < 16; ++kk) {
+    for (int j = 0; j < 8; ++j) B[kk][j] = static_cast<std::int8_t>((kk - j) % 5 - 2);
+  }
+  load_imma_operands(regs, A, B);
   ImmediateSink sink(regs);
   exec_mma(sass::Opcode::kImma8816S8, regs, sass::Reg{4}, sass::Reg{0}, sass::Reg{1}, sass::RZ,
            sink);
@@ -233,6 +241,45 @@ TEST(Imma, Int8MatrixMultiply) {
       const auto got = static_cast<std::int32_t>(
           regs.read(sass::Reg{static_cast<std::uint8_t>(4 + j % 2)}, lane));
       EXPECT_EQ(got, want) << i << "," << j;
+    }
+  }
+}
+
+TEST(Imma, AccumulatorWrapsModulo2To32) {
+  // The s32 accumulator wraps like the hardware's: C near INT32_MAX plus a
+  // positive dot product, and near INT32_MIN plus a negative one, land on the
+  // other side. The reference sums in 64 bits and reduces modulo 2^32.
+  WarpRegs regs;
+  std::int8_t A[8][16], B[16][8];
+  for (int i = 0; i < 8; ++i) {
+    for (int kk = 0; kk < 16; ++kk) A[i][kk] = static_cast<std::int8_t>(i % 2 ? -128 : 127);
+  }
+  for (int kk = 0; kk < 16; ++kk) {
+    for (int j = 0; j < 8; ++j) B[kk][j] = static_cast<std::int8_t>(127 - j);
+  }
+  load_imma_operands(regs, A, B);
+  // C[i][j] sits in lane i * 4 + j / 2, register R2 + j % 2.
+  const auto c_at = [](int i, int j) -> std::int64_t {
+    return i % 2 ? std::int64_t{INT32_MIN} + j : std::int64_t{INT32_MAX} - j;
+  };
+  for (int lane = 0; lane < 32; ++lane) {
+    for (int g = 0; g < 2; ++g) {
+      const auto c = static_cast<std::uint32_t>(c_at(lane / 4, (lane % 4) * 2 + g));
+      regs.write_now(sass::Reg{static_cast<std::uint8_t>(2 + g)}, lane, c);
+    }
+  }
+  ImmediateSink sink(regs);
+  exec_mma(sass::Opcode::kImma8816S8, regs, sass::Reg{4}, sass::Reg{0}, sass::Reg{1},
+           sass::Reg{2}, sink);
+  for (int i = 0; i < 8; ++i) {
+    for (int j = 0; j < 8; ++j) {
+      std::int64_t sum = c_at(i, j);
+      for (int kk = 0; kk < 16; ++kk) sum += std::int64_t{A[i][kk]} * B[kk][j];
+      ASSERT_TRUE(sum > INT32_MAX || sum < INT32_MIN) << i << "," << j;  // it does wrap
+      const auto want = static_cast<std::uint32_t>(sum);
+      const int lane = i * 4 + j / 2;
+      EXPECT_EQ(regs.read(sass::Reg{static_cast<std::uint8_t>(4 + j % 2)}, lane), want)
+          << i << "," << j;
     }
   }
 }

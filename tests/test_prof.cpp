@@ -4,11 +4,14 @@
 // blocking model (Table VI) that motivates the whole subsystem.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <sstream>
 #include <vector>
 
+#include "check/fuzz.hpp"
 #include "core/profile.hpp"
 #include "device/spec.hpp"
+#include "driver/device.hpp"
 #include "mem/global_mem.hpp"
 #include "model/blocking.hpp"
 #include "prof/profiler.hpp"
@@ -16,12 +19,14 @@
 #include "sass/builder.hpp"
 #include "sim/timed_sm.hpp"
 #include "support/fnv1a.hpp"
+#include "support/kernel_cases.hpp"
+#include "support/timed_results.hpp"
 
 namespace tc {
 namespace {
 
 /// One warp, one CTA, full-device bandwidth, profiler attached.
-sim::TimedStats run_program(const sass::Program& prog, prof::Profiler* profiler,
+prof::CounterSet run_program(const sass::Program& prog, prof::Profiler* profiler,
                             prof::TraceWriter* trace = nullptr) {
   if (profiler != nullptr) profiler->attach_trace(trace);
   mem::GlobalMemory gmem;
@@ -54,15 +59,79 @@ TEST(Prof, TensorIssueCyclesAreExactly8PerHmma) {
   const int n = 17;
   const auto prog = hmma_chain(n);
   prof::Profiler p;
-  const auto stats = run_program(prog, &p);
-  const auto& c = p.counters();
-  EXPECT_EQ(c.pipe_busy[prof::kPipeTensor], 8u * n);
+  const auto c = run_program(prog, &p);
+  EXPECT_EQ(c.tensor_busy, 8u * n);
   EXPECT_EQ(c.pipe_issue[prof::kPipeTensor], static_cast<std::uint64_t>(n));
-  // Counters agree with the engine's own stats on every shared quantity.
-  EXPECT_EQ(c.instructions, stats.instructions);
-  EXPECT_EQ(c.cycles, stats.cycles);
-  EXPECT_EQ(c.pipe_busy[prof::kPipeTensor], stats.tensor_busy);
-  EXPECT_EQ(c.pipe_busy[prof::kPipeMio], stats.mio_busy);
+}
+
+TEST(Prof, CounterFoldAddsCountsAndTakesTheMaxOfMarks) {
+  // operator+= is how TimedDevice folds its SMs: every count adds, while
+  // cycles and the two high-water marks take the max.
+  prof::CounterSet a;
+  a.cycles = 100;
+  a.instructions = 10;
+  a.pipe_issue = {1, 2, 3, 4, 5, 6};
+  a.tensor_busy = 11;
+  a.fma_busy = 12;
+  a.alu_busy = 13;
+  a.mio_busy = 14;
+  a.l2_port_busy_cycles = 1.5;
+  a.mio_bw_stall = 15;
+  a.ldg_count = 16;
+  a.stg_count = 17;
+  a.lds_count = 18;
+  a.sts_count = 19;
+  a.ldg_bytes = 20;
+  a.stg_bytes = 21;
+  a.lds_bytes = 22;
+  a.sts_bytes = 23;
+  a.smem_beats = 24;
+  a.smem_phases = 25;
+  a.l1_sectors = 26;
+  a.l2_sectors = 27;
+  a.dram_sectors = 28;
+  a.l1_bytes = 29.0;
+  a.l2_bytes = 30.0;
+  a.dram_bytes = 31.0;
+  a.mshr_highwater = 7;
+  a.mio_queue_highwater = 3;
+  a.sched = {{40, 60}, {41, 59}};
+  prof::CounterSet b = a;
+  b.cycles = 80;
+  b.mshr_highwater = 9;
+  b.mio_queue_highwater = 2;
+
+  prof::CounterSet fold;
+  fold += a;
+  fold += b;
+  prof::CounterSet want = a;
+  want.instructions = 20;
+  want.pipe_issue = {2, 4, 6, 8, 10, 12};
+  want.tensor_busy = 22;
+  want.fma_busy = 24;
+  want.alu_busy = 26;
+  want.mio_busy = 28;
+  want.l2_port_busy_cycles = 3.0;
+  want.mio_bw_stall = 30;
+  want.ldg_count = 32;
+  want.stg_count = 34;
+  want.lds_count = 36;
+  want.sts_count = 38;
+  want.ldg_bytes = 40;
+  want.stg_bytes = 42;
+  want.lds_bytes = 44;
+  want.sts_bytes = 46;
+  want.smem_beats = 48;
+  want.smem_phases = 50;
+  want.l1_sectors = 52;
+  want.l2_sectors = 54;
+  want.dram_sectors = 56;
+  want.l1_bytes = 58.0;
+  want.l2_bytes = 60.0;
+  want.dram_bytes = 62.0;
+  want.mshr_highwater = 9;
+  want.sched = {{80, 120}, {82, 118}};
+  testsupport::expect_same_counters(fold, want);
 }
 
 TEST(Prof, TwoWayBankConflictCountsOneReplayPerLds) {
@@ -83,10 +152,9 @@ TEST(Prof, TwoWayBankConflictCountsOneReplayPerLds) {
   const auto prog = b.finalize();
 
   prof::Profiler p;
-  run_program(prog, &p);
-  const auto& c = p.counters();
+  const auto c = run_program(prog, &p);
   EXPECT_EQ(c.lds_count, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(c.smem_bank_replays, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(c.smem_beats - c.smem_phases, static_cast<std::uint64_t>(n));
   EXPECT_EQ(c.smem_phases, static_cast<std::uint64_t>(n));
 }
 
@@ -100,14 +168,14 @@ TEST(Prof, ConflictFreeLdsCountsZeroReplays) {
   b.nop().wait_on(0).stall(1);
   b.exit();
   prof::Profiler p;
-  run_program(b.finalize(), &p);
-  EXPECT_EQ(p.counters().smem_bank_replays, 0u);
+  const auto c = run_program(b.finalize(), &p);
+  EXPECT_EQ(c.smem_beats, c.smem_phases);
 }
 
 TEST(Prof, AttachingProfilerDoesNotPerturbTiming) {
-  // The ProfileHook contract: a profiled run is cycle-identical to an
-  // unprofiled one. Use the real HGEMM surrogate so every hook site
-  // (issue, MIO, smem, MSHR, barriers) is exercised.
+  // A profiled run is cycle-identical to an unprofiled one and returns the
+  // same counters. Use the real HGEMM surrogate so every hook site (issue,
+  // MIO, smem, MSHR, barriers) is exercised.
   const auto spec = device::rtx2070();
   const auto cfg = core::HgemmConfig::optimized();
   core::SurrogateOptions opt;
@@ -119,11 +187,7 @@ TEST(Prof, AttachingProfilerDoesNotPerturbTiming) {
   opt.profiler = &p;
   const auto profiled = core::run_steady_surrogate(spec, cfg, 1, opt);
 
-  EXPECT_EQ(plain.cycles, profiled.cycles);
-  EXPECT_EQ(plain.instructions, profiled.instructions);
-  EXPECT_EQ(plain.tensor_busy, profiled.tensor_busy);
-  EXPECT_EQ(plain.mio_busy, profiled.mio_busy);
-  EXPECT_EQ(plain.smem_beats, profiled.smem_beats);
+  testsupport::expect_same_counters(plain, profiled);
 }
 
 TEST(Prof, SchedulerAccountingIsComplete) {
@@ -136,15 +200,15 @@ TEST(Prof, SchedulerAccountingIsComplete) {
   opt.l2_hit_rate = 0.5;
   prof::Profiler p;
   opt.profiler = &p;
-  core::run_steady_surrogate(spec, cfg, 1, opt);
+  const auto c = core::run_steady_surrogate(spec, cfg, 1, opt);
 
-  const auto& c = p.counters();
   ASSERT_EQ(c.sched.size(), 4u);
   std::uint64_t issued = 0;
-  for (const auto& s : c.sched) {
+  for (std::size_t i = 0; i < c.sched.size(); ++i) {
+    const auto& s = c.sched[i];
     EXPECT_EQ(s.issue_cycles + s.idle_cycles, c.cycles);
     std::uint64_t attributed = 0;
-    for (const auto r : s.idle_by_reason) attributed += r;
+    for (const auto r : p.idle_by_reason(static_cast<int>(i))) attributed += r;
     EXPECT_EQ(attributed, s.idle_cycles);
     issued += s.issue_cycles;
   }
@@ -158,7 +222,7 @@ TEST(Prof, HotPcTableIsSortedAndBounded) {
   opt.l2_hit_rate = 0.5;
   prof::Profiler p;
   opt.profiler = &p;
-  core::run_steady_surrogate(spec, core::HgemmConfig::optimized(), 1, opt);
+  const auto c = core::run_steady_surrogate(spec, core::HgemmConfig::optimized(), 1, opt);
 
   const auto hot = p.hot_pcs(10);
   ASSERT_FALSE(hot.empty());
@@ -168,7 +232,7 @@ TEST(Prof, HotPcTableIsSortedAndBounded) {
   }
   // The report renders without touching the (destroyed) Program.
   std::ostringstream os;
-  p.print_report(os, 10);
+  p.print_report(os, c, 10);
   EXPECT_NE(os.str().find("pipe"), std::string::npos);
   EXPECT_NE(os.str().find("hot instructions"), std::string::npos);
 }
@@ -239,10 +303,8 @@ TEST(Prof, ProfileHgemmReportsSteadyStateCounters) {
   const auto hp = core::profile_hgemm(spec, core::HgemmConfig::optimized(), {1024, 1024, 1024},
                                       &trace);
   EXPECT_EQ(hp.iterations, 32);  // k / bk
-  EXPECT_GT(hp.profiler.counters().cycles, 0u);
-  EXPECT_GT(hp.profiler.counters().utilization(prof::kPipeTensor, hp.profiler.partitions()),
-            0.5);
-  EXPECT_EQ(hp.profiler.counters().cycles, hp.stats.cycles);
+  EXPECT_GT(hp.counters.cycles, 0u);
+  EXPECT_GT(hp.counters.utilization(prof::kPipeTensor, hp.profiler.partitions()), 0.5);
   std::ostringstream os;
   trace.write(os);
   EXPECT_GT(os.str().size(), 1000u);
@@ -270,15 +332,16 @@ TEST(Prof, StallAttributionIsPinned) {
   };
   for (const auto& pin : pins) {
     const auto hp = core::profile_hgemm(pin.spec, pin.cfg, {1024, 1024, 128});
-    const auto& c = hp.profiler.counters();
+    const auto& c = hp.counters;
     ASSERT_EQ(c.sched.size(), 4u) << pin.name;
     std::vector<std::uint64_t> words = {c.cycles, c.instructions};
     words.insert(words.end(), c.pipe_issue.begin(), c.pipe_issue.end());
-    words.insert(words.end(), c.pipe_busy.begin(), c.pipe_busy.end());
-    for (const auto& s : c.sched) {
-      words.push_back(s.issue_cycles);
-      words.push_back(s.idle_cycles);
-      words.insert(words.end(), s.idle_by_reason.begin(), s.idle_by_reason.end());
+    for (int pipe = 0; pipe < prof::kNumPipes; ++pipe) words.push_back(c.busy_cycles(pipe));
+    for (std::size_t i = 0; i < c.sched.size(); ++i) {
+      words.push_back(c.sched[i].issue_cycles);
+      words.push_back(c.sched[i].idle_cycles);
+      const auto& idle = hp.profiler.idle_by_reason(static_cast<int>(i));
+      words.insert(words.end(), idle.begin(), idle.end());
     }
     for (const auto& h : hp.profiler.hot_pcs(16)) {
       words.push_back(static_cast<std::uint64_t>(h.pc));
@@ -289,6 +352,112 @@ TEST(Prof, StallAttributionIsPinned) {
     }
     const std::uint64_t hash = testsupport::fnv1a_words(words);
     EXPECT_EQ(hash, pin.hash) << pin.name << " hashed 0x" << std::hex << std::uppercase << hash;
+  }
+}
+
+
+TEST(Prof, CountersArePinned) {
+  // Pins every count a timed run reports, with and without a Profiler, and
+  // the Profiler's attribution when one is attached: testsupport::pinned_words
+  // of each run, hashed per group. TimedSm::run covers every kernel_gen kernel
+  // on both specs (full math, per-SM bandwidth shares, forced L2 hits);
+  // TimedDevice covers optimized and cublas_like grids on both specs with
+  // the emergent and a forced L2 (every per-SM entry and the total); the
+  // fuzz group runs 200 generated programs with a Profiler attached.
+  const auto hash_of = [](const std::vector<std::uint64_t>& words) {
+    return testsupport::fnv1a_words(words);
+  };
+
+  std::vector<std::uint64_t> sm_words;
+  for (const auto& spec : {device::rtx2070(), device::t4()}) {
+    for (const testsupport::SmCase& c : testsupport::kernel_gen_cases()) {
+      for (const bool profiled : {false, true}) {
+        mem::GlobalMemory gmem;
+        const sim::Launch launch = testsupport::make_launch(c, gmem);
+        prof::Profiler profiler;
+        sim::TimedConfig tc;
+        tc.spec = spec;
+        tc.dram_bytes_per_cycle = spec.dram_bytes_per_cycle_per_sm();
+        tc.l2_bytes_per_cycle = spec.l2_bytes_per_cycle_per_sm();
+        tc.forced_l2_hit_rate = 0.5;
+        if (profiled) tc.profiler = &profiler;
+        std::vector<sim::CtaCoord> ctas;
+        sim::GridCtaSource source(c.grid_x, c.grid_y, c.grid_z);
+        while (const auto cta = source.next()) ctas.push_back(*cta);
+        sim::TimedSm sm(tc, gmem);
+        const auto counts = sm.run(launch, ctas);
+        const auto w = testsupport::pinned_words(counts, profiled ? &profiler : nullptr);
+        sm_words.insert(sm_words.end(), w.begin(), w.end());
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> device_words;
+  for (const auto& spec : {device::rtx2070(), device::t4()}) {
+    for (const bool cublas : {false, true}) {
+      const auto cfg =
+          cublas ? core::HgemmConfig::cublas_like() : core::HgemmConfig::optimized();
+      const GemmShape shape = cublas ? GemmShape{256, 1024, 128} : GemmShape{512, 1024, 64};
+      const sass::Program prog = core::hgemm_kernel(cfg, shape);
+      for (const double forced_l2 : {-1.0, 0.5}) {
+        driver::Device dev(spec);
+        sim::Launch launch;
+        launch.program = &prog;
+        launch.grid_x = static_cast<std::uint32_t>(shape.n / static_cast<std::size_t>(cfg.bn));
+        launch.grid_y = static_cast<std::uint32_t>(shape.m / static_cast<std::size_t>(cfg.bm));
+        launch.params = {dev.alloc<half>(shape.m * shape.k).addr,
+                         dev.alloc<half>(shape.n * shape.k).addr,
+                         dev.alloc<half>(shape.m * shape.n).addr};
+        sim::TimedDeviceConfig dc = dev.timed_full_device(cublas ? 2 : 1);
+        dc.skip_mma_math = true;
+        dc.forced_l2_hit_rate = forced_l2;
+        const sim::DeviceResult dr = dev.run_timed_device(launch, dc);
+        device_words.insert(device_words.end(),
+                            {dr.device_cycles, std::bit_cast<std::uint64_t>(dr.l2_hit_rate),
+                             dr.ctas_run, static_cast<std::uint64_t>(dr.sms_used)});
+        for (const auto& per_sm : dr.per_sm) {
+          const auto w = testsupport::pinned_words(per_sm, nullptr);
+          device_words.insert(device_words.end(), w.begin(), w.end());
+        }
+        const auto w = testsupport::pinned_words(dr.total, nullptr);
+        device_words.insert(device_words.end(), w.begin(), w.end());
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> fuzz_words;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const check::FuzzCase fc = check::generate_case(seed, check::FuzzOptions{});
+    mem::GlobalMemory gmem;
+    sim::Launch launch;
+    launch.program = &fc.prog;
+    launch.params = {gmem.alloc(fc.in_bytes), gmem.alloc(fc.out_bytes)};
+    gmem.write(launch.params[0], std::span(fc.in_data));
+    prof::Profiler profiler;
+    sim::TimedConfig tc;
+    tc.spec = device::rtx2070();
+    tc.dram_bytes_per_cycle = tc.spec.dram_bytes_per_cycle_per_sm();
+    tc.l2_bytes_per_cycle = tc.spec.l2_bytes_per_cycle_per_sm();
+    tc.forced_l2_hit_rate = 0.3;
+    tc.max_cycles = 200'000;
+    tc.profiler = &profiler;
+    sim::TimedSm sm(tc, gmem);
+    const sim::CtaCoord cta{0, 0};
+    const auto counts = sm.run(launch, std::span(&cta, 1));
+    const auto w = testsupport::pinned_words(counts, &profiler);
+    fuzz_words.insert(fuzz_words.end(), w.begin(), w.end());
+  }
+
+  struct Pin {
+    const char* name;
+    std::uint64_t hash;
+    std::uint64_t want;
+  };
+  for (const Pin& pin : {Pin{"TimedSm::run", hash_of(sm_words), 0xCF61A4543045F62Full},
+                         Pin{"TimedDevice", hash_of(device_words), 0xDE68620B53641FC8ull},
+                         Pin{"fuzz", hash_of(fuzz_words), 0xA43310E0B30CC1BFull}}) {
+    EXPECT_EQ(pin.hash, pin.want) << pin.name << " hashed 0x" << std::hex << std::uppercase
+                                  << pin.hash;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "driver/device.hpp"
 #include "sass/builder.hpp"
 #include "sim/probe.hpp"
+#include "support/kernel_cases.hpp"
 #include "support/timed_results.hpp"
 
 namespace tc {
@@ -358,24 +359,13 @@ TEST(Scheduling, ReuseFlagsHaveNoTimingEffect) {
 /// with skip_to() before each step, as TimedDevice does.
 enum class SmDriver { kLockstep, kRun, kSkipTo };
 
-/// One small launch of a kernel_gen kernel. `resident` CTA slots serve the
-/// grid; when they are fewer than its CTAs, retired slots are refilled.
-struct SmCase {
-  std::string name;
-  sass::Program prog;
-  std::uint32_t grid_x = 1;
-  std::uint32_t grid_y = 1;
-  std::uint32_t grid_z = 1;
-  int resident = 1;
-  std::vector<std::size_t> param_bytes;  // one buffer per kernel parameter
-};
+using testsupport::SmCase;
 
-/// Everything one run reports: stats, the attached profiler's counters and
-/// hot-PC table, the probe's final register snapshots, and every buffer.
+/// Everything one run reports: its counters, the attached profiler's
+/// attribution, the probe's final register snapshots, and every buffer.
 struct SmRecord {
-  sim::TimedStats stats;
   prof::CounterSet counters;
-  std::vector<prof::HotPc> hot;
+  prof::Profiler profiler;
   std::vector<sim::WarpSnapshot> snaps;
   std::vector<std::vector<std::uint8_t>> buffers;
 };
@@ -386,24 +376,9 @@ struct SmRecord {
 SmRecord run_sm_case(const SmCase& c, const device::DeviceSpec& spec, SmDriver driver,
                      bool observe) {
   mem::GlobalMemory gmem;
-  sim::Launch launch;
-  launch.program = &c.prog;
-  launch.grid_x = c.grid_x;
-  launch.grid_y = c.grid_y;
-  launch.grid_z = c.grid_z;
-  Rng rng(11);
-  for (const std::size_t bytes : c.param_bytes) {
-    std::vector<std::uint8_t> data(bytes);
-    for (std::size_t i = 0; i + 1 < bytes; i += 2) {
-      const std::uint16_t bits = rng.next_half(-0.5f, 0.5f).bits();
-      data[i] = static_cast<std::uint8_t>(bits & 0xFF);
-      data[i + 1] = static_cast<std::uint8_t>(bits >> 8);
-    }
-    launch.params.push_back(gmem.alloc(bytes));
-    gmem.write(launch.params.back(), data);
-  }
+  const sim::Launch launch = testsupport::make_launch(c, gmem);
 
-  prof::Profiler profiler;
+  SmRecord rec;
   sim::StateProbe probe;
   probe.set_num_regs(c.prog.num_regs);
   sim::TimedConfig tc;
@@ -412,16 +387,15 @@ SmRecord run_sm_case(const SmCase& c, const device::DeviceSpec& spec, SmDriver d
   tc.l2_bytes_per_cycle = spec.l2_bytes_per_cycle_per_sm();
   tc.forced_l2_hit_rate = 0.5;
   if (observe) {
-    tc.profiler = &profiler;
+    tc.profiler = &rec.profiler;
     tc.probe = &probe;
   }
   sim::TimedSm sm(tc, gmem);
-  SmRecord rec;
   sim::GridCtaSource source(c.grid_x, c.grid_y, c.grid_z);
   if (driver == SmDriver::kRun) {
     std::vector<sim::CtaCoord> ctas;
     while (const auto cta = source.next()) ctas.push_back(*cta);
-    rec.stats = sm.run(launch, ctas);
+    rec.counters = sm.run(launch, ctas);
   } else {
     sm.begin(launch, source, c.resident);
     if (driver == SmDriver::kLockstep) {
@@ -433,10 +407,8 @@ SmRecord run_sm_case(const SmCase& c, const device::DeviceSpec& spec, SmDriver d
       } while (sm.step());
     }
     EXPECT_EQ(source.issued(), launch.num_ctas());
-    rec.stats = sm.finish();
+    rec.counters = sm.finish();
   }
-  rec.counters = profiler.counters();
-  rec.hot = profiler.hot_pcs(16);
   rec.snaps = probe.sorted();
   for (std::size_t i = 0; i < c.param_bytes.size(); ++i) {
     rec.buffers.emplace_back(c.param_bytes[i]);
@@ -446,9 +418,8 @@ SmRecord run_sm_case(const SmCase& c, const device::DeviceSpec& spec, SmDriver d
 }
 
 void expect_same_record(const SmRecord& a, const SmRecord& b) {
-  testsupport::expect_same_stats(a.stats, b.stats);
   testsupport::expect_same_counters(a.counters, b.counters);
-  testsupport::expect_same_hot_pcs(a.hot, b.hot);
+  testsupport::expect_same_attribution(a.profiler, b.profiler);
   ASSERT_EQ(a.snaps.size(), b.snaps.size());
   for (std::size_t i = 0; i < a.snaps.size(); ++i) {
     EXPECT_EQ(a.snaps[i].cta_x, b.snaps[i].cta_x);
@@ -465,44 +436,12 @@ TEST(Scheduling, EventSkipMatchesSteppingEveryCycle) {
   // TimedSm::run and a skip_to() driver leave idle stretches unsimulated;
   // both must report exactly what stepping every cycle reports, for every
   // kernel_gen kernel on both specs.
-  const auto opt = core::HgemmConfig::optimized();
-  const auto cub = core::HgemmConfig::cublas_like();
-  auto split = core::HgemmConfig::optimized();
-  split.split_k = 2;
-  const GemmShape tile{256, 256, 64};
-  const std::size_t tile_ab = tile.m * tile.k * 2;
-  const std::size_t tile_c = tile.m * tile.n * 2;
-  core::Epilogue scaled;
-  scaled.alpha = 0.5f;
-  scaled.beta = 1.0f;
-  scaled.act = core::Activation::kRelu;
-  core::ReducePlan reduce;
-  reduce.m = 8;
-  reduce.n = 256;
-  reduce.parts = 2;
-  reduce.epilogue = scaled;
-  reduce.bias = true;
-  const GemmShape wmma{32, 128, 32};
-
-  std::vector<SmCase> cases;
-  cases.push_back({"optimized", core::hgemm_kernel(opt, tile), 1, 1, 1, 1,
-                   {tile_ab, tile_ab, tile_c}});
-  cases.push_back({"cublas_like", core::hgemm_kernel(cub, {256, 128, 128}), 1, 2, 1, 2,
-                   {256 * 128 * 2, 128 * 128 * 2, 256 * 128 * 2}});
-  cases.push_back({"optimized_epilogue", core::hgemm_kernel(opt, tile, scaled), 1, 1, 1, 1,
-                   {tile_ab, tile_ab, tile_c}});
-  cases.push_back({"split_k2", core::hgemm_kernel(split, {256, 256, 128}), 1, 1, 2, 1,
-                   {tile_ab * 2, tile_ab * 2, tile_c * 2}});
-  cases.push_back({"reduce_epilogue", core::reduce_epilogue_kernel(reduce), 1, 8, 1, 3,
-                   {2 * 8 * 256 * 2, 8 * 256 * 2, 256 * 2}});
-  cases.push_back({"wmma_naive", core::wmma_naive_kernel(wmma), 1, 2, 1, 2,
-                   {wmma.m * wmma.k * 2, wmma.n * wmma.k * 2, wmma.m * wmma.n * 2}});
-
+  const std::vector<SmCase> cases = testsupport::kernel_gen_cases();
   for (const auto& spec : {device::rtx2070(), device::t4()}) {
     for (const SmCase& c : cases) {
       SCOPED_TRACE(c.name + " on " + spec.name);
       const SmRecord lockstep = run_sm_case(c, spec, SmDriver::kLockstep, true);
-      ASSERT_GT(lockstep.stats.instructions, 0u);
+      ASSERT_GT(lockstep.counters.instructions, 0u);
       {
         SCOPED_TRACE("skip_to driver");
         expect_same_record(lockstep, run_sm_case(c, spec, SmDriver::kSkipTo, true));
@@ -510,7 +449,7 @@ TEST(Scheduling, EventSkipMatchesSteppingEveryCycle) {
       {
         SCOPED_TRACE("skip_to driver, nothing attached");
         const SmRecord bare = run_sm_case(c, spec, SmDriver::kSkipTo, false);
-        testsupport::expect_same_stats(lockstep.stats, bare.stats);
+        testsupport::expect_same_counters(lockstep.counters, bare.counters);
         EXPECT_TRUE(lockstep.buffers == bare.buffers) << "global memory differs";
       }
       // run() takes a fixed resident set, so it covers the cases without refill.

@@ -17,7 +17,7 @@ namespace {
 /// Runs one CTA of a kernel in the timing engine with generous bandwidth and
 /// returns (stats, C block) for a bm x bn x k problem.
 struct TimedGemmRun {
-  sim::TimedStats stats;
+  prof::CounterSet stats;
   HalfMatrix c;
 };
 
@@ -89,7 +89,7 @@ TEST(TimedHgemm, TensorPipeDominatesForOptimizedConfig) {
   EXPECT_GT(static_cast<double>(r.stats.tensor_busy) / 4.0,
             static_cast<double>(r.stats.mio_busy) * 0.9);
   // Utilization sanity: HMMA count = m*n*k / (16*8*8).
-  EXPECT_EQ(r.stats.hmma_count, 256ull * 256 * 512 / 1024);
+  EXPECT_EQ(r.stats.pipe_issue[prof::kPipeTensor], 256ull * 256 * 512 / 1024);
 }
 
 TEST(TimedHgemm, PaddedLayoutIsConflictFreeNaiveIsNot) {
