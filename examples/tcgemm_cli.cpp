@@ -737,6 +737,10 @@ int main(int argc, char** argv) {
         TC_CHECK(args.engine == "model" || args.engine == "device",
                  "tune --engine must be 'model' or 'device'");
       }
+      // A flag tune cannot apply is an error, never silently ignored.
+      TC_CHECK(!args.profile, "tune does not support --profile");
+      TC_CHECK(args.trace_out.empty(), "tune does not support --trace-out");
+      TC_CHECK(!args.check, "tune does not support --check");
       const device::DeviceSpec spec = device::spec_by_name(args.device);
       const tune::CacheKey ckey = tune::cache_key(spec, {args.m, args.n, args.k});
       tune::TuneCache cache;
@@ -1039,6 +1043,13 @@ int main(int argc, char** argv) {
     }
 
     if (args.command == "serve") {
+      // A flag serve cannot apply is an error, never silently ignored.
+      // Passes always cost on the timed device, so it has no --engine.
+      TC_CHECK(!args.engine_set, "serve does not support --engine");
+      TC_CHECK(!args.profile, "serve does not support --profile");
+      TC_CHECK(args.trace_out.empty(), "serve does not support --trace-out");
+      TC_CHECK(!args.top_set, "serve does not support --top");
+      TC_CHECK(!args.check, "serve does not support --check");
       const device::DeviceSpec spec = device::spec_by_name(args.device);
       serve::ServerOptions sopt;
       sopt.spec = spec;

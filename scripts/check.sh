@@ -30,7 +30,8 @@ echo "== timed-device determinism gate: two processes per spec + recorded result
 # in-process repeatability test cannot, such as ordering by host pointer
 # under ASLR. The recorded fixture catches a change that moves both runs
 # alike (rtx2070: 43,855 device cycles). The perf --profile report and its
-# JSON are recorded too, so a counter or attribution change shows here.
+# JSON are recorded too, so a counter or attribution change shows here. So is
+# a cold serve run (tuning, pass costs and the metrics document).
 for dev in rtx2070 t4; do
   for run in 1 2; do
     ./build/examples/tcgemm_cli perf --device "$dev" --m 1024 --n 1024 --k 256 \
@@ -44,6 +45,9 @@ for dev in rtx2070 t4; do
     --profile --json "build/perf_profile_${dev}.json" >/dev/null
   cmp "build/perf_profile_${dev}.txt" "tests/golden/perf_profile_${dev}.txt"
   cmp "build/perf_profile_${dev}.json" "tests/golden/perf_profile_${dev}.json"
+  ./build/examples/tcgemm_cli serve --device "$dev" --requests 30 --budget 2 \
+    --json "build/serve_${dev}.json" >/dev/null
+  cmp "build/serve_${dev}.json" "tests/golden/serve_${dev}.json"
 done
 
 echo "== jit gate: differential layer + compiled-engine CLI smoke =="

@@ -19,36 +19,34 @@ SmemAccessCost smem_access_cost(std::span<const std::uint32_t> addrs,
   SmemAccessCost cost;
   cost.phases = num_phases;
 
+  constexpr int kPhaseWords = 128 / kBankWidthBytes;  // one phase moves 128 B
   for (int phase = 0; phase < num_phases; ++phase) {
-    // Each lane in the phase touches `bytes/4` consecutive 4-byte words.
-    // Gather the distinct words per bank; same-word loads broadcast.
-    std::array<std::vector<std::uint32_t>, kNumBanks> words_per_bank;
-    bool any_active = false;
+    // Each lane in the phase touches `bytes/4` consecutive 4-byte words. A
+    // bank serializes its distinct words; loads of one word broadcast. A word
+    // determines its bank, so one duplicate check over the phase's distinct
+    // words is the per-bank check, and only a bank already hit can repeat.
+    std::array<std::uint32_t, kPhaseWords> words{};
+    std::array<int, kNumBanks> per_bank{};
+    int num_words = 0;
+    int ways = 0;
     for (int l = 0; l < lanes_per_phase; ++l) {
       const int lane = phase * lanes_per_phase + l;
       if (!active[static_cast<std::size_t>(lane)]) continue;
-      any_active = true;
       const std::uint32_t base = addrs[static_cast<std::size_t>(lane)];
       TC_CHECK(base % static_cast<std::uint32_t>(bytes) == 0,
                "misaligned shared memory access");
       for (int wword = 0; wword < bytes / kBankWidthBytes; ++wword) {
         const std::uint32_t word_addr = base / kBankWidthBytes + static_cast<std::uint32_t>(wword);
-        const auto bank = word_addr % kNumBanks;
-        auto& v = words_per_bank[bank];
-        if (is_store || std::find(v.begin(), v.end(), word_addr) == v.end()) {
-          v.push_back(word_addr);
+        int& hits = per_bank[word_addr % kNumBanks];
+        if (!is_store) {
+          const auto end = words.begin() + num_words;
+          if (hits > 0 && std::find(words.begin(), end, word_addr) != end) continue;
+          words[static_cast<std::size_t>(num_words++)] = word_addr;
         }
+        ways = std::max(ways, ++hits);
       }
     }
-    if (!any_active) {
-      cost.beats += 1;  // the phase still occupies the pipe
-      continue;
-    }
-    int ways = 1;
-    for (const auto& v : words_per_bank) {
-      ways = std::max(ways, static_cast<int>(v.size()));
-    }
-    cost.beats += ways;
+    cost.beats += std::max(ways, 1);  // an all-off phase still occupies the pipe
   }
   return cost;
 }

@@ -86,15 +86,20 @@ Server::PassCost Server::pass_cost(const core::HgemmConfig& cfg, const tune::Cac
   gemm.shape = {static_cast<std::size_t>(fused) * key.m, key.n, key.k};
   gemm.batch.count = batch;
   gemm.split_k = cfg.split_k;
-  const op::OpPlan plan = op::lower(gemm, cfg);
-  const GemmShape s = plan.contract;
 
+  // The memo is read before anything is lowered. The key (config name,
+  // contract shape, op batch) fixes the lowered plan: cfg.split_k already
+  // equals the op's, as op::lower sets it. So a hit reuses a plan that its
+  // first use lowered, gated and simulated.
+  const GemmShape s = cfg.contract_shape(gemm.shape);
   std::string memo_key = tune::candidate_name(cfg) + "@" + std::to_string(s.m) + "x" +
                          std::to_string(s.n) + "x" + std::to_string(s.k);
   if (batch > 1) memo_key += "b" + std::to_string(batch);  // legacy keys unchanged
   if (const auto it = cost_memo_.find(memo_key); it != cost_memo_.end()) {
     return {it->second, 0, false};
   }
+  const op::OpPlan plan = op::lower(gemm, cfg);
+  TC_CHECK(plan.contract == s, "pass-cost memo key disagrees with the lowered plan's shape");
 
   // Same harness as tune::eval_timed_device: time_gemm_op hard-gates every
   // launch (validate + hazard scan — a diagnostic throws, so the counter

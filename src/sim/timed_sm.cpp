@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/error.hpp"
 #include "mem/banked_smem.hpp"
@@ -114,7 +115,9 @@ struct TimedSm::Impl {
   TimedConfig cfg;
   mem::GlobalMemory& gmem;
   mem::SectorCache l1;
-  mem::SectorCache l2;
+  // Private L2 tag array: only a standalone SM with an emergent L2 reads it.
+  // Device SMs probe SharedMemSystem::l2; a pinned hit rate probes none.
+  std::optional<mem::SectorCache> l2;
   mem::TokenBucket dram_bw;
   mem::TokenBucket l2_bw;
   MemLatency lat;
@@ -154,11 +157,16 @@ struct TimedSm::Impl {
       : cfg(c),
         gmem(g),
         l1(c.spec.l1_size_bytes, c.spec.l1_ways),
-        l2(c.spec.l2_size_bytes, c.spec.l2_ways),
         dram_bw(c.dram_bytes_per_cycle > 0 ? c.dram_bytes_per_cycle
                                            : c.spec.dram_bytes_per_cycle()),
         l2_bw(c.l2_bytes_per_cycle > 0 ? c.l2_bytes_per_cycle : c.spec.l2_bytes_per_cycle()),
-        lat(mem_latency(c.spec)) {}
+        lat(mem_latency(c.spec)) {
+    if (cfg.shared == nullptr && !l2_pinned()) l2.emplace(c.spec.l2_size_bytes, c.spec.l2_ways);
+  }
+
+  /// A rate >= 0 pins the L2 hit fraction; any other value (negative or NaN)
+  /// leaves L2 hits emergent from a tag array.
+  [[nodiscard]] bool l2_pinned() const { return cfg.forced_l2_hit_rate >= 0.0; }
 
   // Round-robin partition assignment by global warp index, as on hardware.
   [[nodiscard]] int partition_of(int w) const { return w % partitions; }
@@ -217,14 +225,14 @@ struct TimedSm::Impl {
         continue;
       }
       bool l2_hit;
-      if (cfg.forced_l2_hit_rate >= 0.0) {
+      if (l2_pinned()) {
         forced_l2_accum += cfg.forced_l2_hit_rate;
         l2_hit = forced_l2_accum >= 1.0;
         if (l2_hit) forced_l2_accum -= 1.0;
       } else if (cfg.shared != nullptr) {
         l2_hit = cfg.shared->l2.access(s) == mem::HitLevel::kHit;
       } else {
-        l2_hit = l2.access(s) == mem::HitLevel::kHit;
+        l2_hit = l2->access(s) == mem::HitLevel::kHit;
       }
       if (l2_hit) {
         l2_bytes += mem::kSectorBytes;

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/json_parse.hpp"
 
@@ -324,6 +325,20 @@ TEST(CliContract, EngineValidationIsPerCommand) {
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine device --top 5"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --trace-out t.json"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --top 5"));
+  // serve and tune reject the flags they cannot apply, and name each one.
+  for (const auto& [args, flag] :
+       {std::pair{"serve --requests 2 --engine jit", "--engine"},
+        std::pair{"serve --requests 2 --profile", "--profile"},
+        std::pair{"serve --requests 2 --trace-out t.json", "--trace-out"},
+        std::pair{"serve --requests 2 --top 3", "--top"},
+        std::pair{"serve --requests 2 --check", "--check"},
+        std::pair{"tune --budget 1 --profile", "--profile"},
+        std::pair{"tune --budget 1 --trace-out t.json", "--trace-out"},
+        std::pair{"tune --budget 1 --check", "--check"}}) {
+    std::string err;
+    EXPECT_EQ(run_cli_status(args, err), 1) << args;
+    EXPECT_NE(err.find(flag), std::string::npos) << args << ": " << err;
+  }
 }
 
 TEST(CliContract, Disasm) {

@@ -2,11 +2,14 @@
 // coalescer, token buckets, paged global memory.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "device/spec.hpp"
 #include "mem/banked_smem.hpp"
 #include "mem/coalescer.hpp"
@@ -199,6 +202,151 @@ TEST(Coalescer, DuplicateAddressesMergeAndInactiveSkip) {
   active[7] = false;
   const auto sectors = coalesce_sectors(addrs, active, sass::MemWidth::k32);
   EXPECT_EQ(sectors.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracles for the heap-free costing: the bank-conflict cost and
+// the coalescer as written with a std::vector per bank and a sorted
+// std::vector of sectors, run against the library on seeded random accesses.
+// ---------------------------------------------------------------------------
+
+SmemAccessCost per_bank_vector_cost(std::span<const std::uint32_t> addrs,
+                                    std::span<const bool> active, sass::MemWidth width,
+                                    bool is_store) {
+  const int bytes = sass::width_bytes(width);
+  const int lanes_per_phase = 128 / bytes;
+  const int num_phases = 32 / lanes_per_phase;
+  SmemAccessCost cost;
+  cost.phases = num_phases;
+  for (int phase = 0; phase < num_phases; ++phase) {
+    std::array<std::vector<std::uint32_t>, kNumBanks> words_per_bank;
+    bool any_active = false;
+    for (int l = 0; l < lanes_per_phase; ++l) {
+      const int lane = phase * lanes_per_phase + l;
+      if (!active[static_cast<std::size_t>(lane)]) continue;
+      any_active = true;
+      const std::uint32_t base = addrs[static_cast<std::size_t>(lane)];
+      for (int wword = 0; wword < bytes / kBankWidthBytes; ++wword) {
+        const std::uint32_t word_addr = base / kBankWidthBytes + static_cast<std::uint32_t>(wword);
+        auto& v = words_per_bank[word_addr % kNumBanks];
+        if (is_store || std::find(v.begin(), v.end(), word_addr) == v.end()) {
+          v.push_back(word_addr);
+        }
+      }
+    }
+    if (!any_active) {
+      cost.beats += 1;
+      continue;
+    }
+    int ways = 1;
+    for (const auto& v : words_per_bank) ways = std::max(ways, static_cast<int>(v.size()));
+    cost.beats += ways;
+  }
+  return cost;
+}
+
+std::vector<std::uint64_t> sorted_vector_sectors(std::span<const std::uint32_t> lane_addrs,
+                                                 std::span<const bool> active,
+                                                 sass::MemWidth width) {
+  const auto bytes = static_cast<std::uint32_t>(sass::width_bytes(width));
+  std::vector<std::uint64_t> sectors;
+  for (std::size_t lane = 0; lane < 32; ++lane) {
+    if (!active[lane]) continue;
+    const std::uint64_t lo = lane_addrs[lane] / kSectorBytes;
+    const std::uint64_t hi = (lane_addrs[lane] + bytes - 1) / kSectorBytes;
+    for (std::uint64_t s = lo; s <= hi; ++s) sectors.push_back(s * kSectorBytes);
+  }
+  std::sort(sectors.begin(), sectors.end());
+  sectors.erase(std::unique(sectors.begin(), sectors.end()), sectors.end());
+  return sectors;
+}
+
+/// One seeded random warp access: width 32/64/128, a broadcast-heavy,
+/// conflict-heavy (128 B stride) or random aligned address pattern, and an
+/// active mask that is full, random, random with whole phases off, or empty.
+struct RandomAccess {
+  std::array<std::uint32_t, 32> addrs{};
+  std::array<bool, 32> active{};
+  sass::MemWidth width = sass::MemWidth::k32;
+  bool is_store = false;
+
+  RandomAccess(Rng& rng, std::uint32_t space_bytes) {
+    constexpr sass::MemWidth kWidths[] = {sass::MemWidth::k32, sass::MemWidth::k64,
+                                          sass::MemWidth::k128};
+    width = kWidths[rng.next_below(3)];
+    is_store = rng.next_below(2) == 1;
+    const auto bytes = static_cast<std::uint32_t>(sass::width_bytes(width));
+    const auto aligned = [&](std::uint32_t below) {
+      return static_cast<std::uint32_t>(rng.next_below(below / bytes)) * bytes;
+    };
+    const std::uint32_t base = aligned(space_bytes / 2);
+    std::array<std::uint32_t, 3> hot{};
+    for (auto& h : hot) h = aligned(space_bytes);
+    const auto pattern = rng.next_below(3);
+    for (auto& a : addrs) {
+      if (pattern == 0) {
+        a = hot[rng.next_below(hot.size())];  // broadcast-heavy
+      } else if (pattern == 1) {
+        a = base + static_cast<std::uint32_t>(rng.next_below(16)) * 128;  // conflict-heavy
+      } else {
+        a = aligned(space_bytes);  // random aligned
+      }
+    }
+    const auto mask = rng.next_below(4);
+    const int lanes_per_phase = 128 / static_cast<int>(bytes);
+    for (std::size_t l = 0; l < 32; ++l) active[l] = mask == 0 || rng.next_below(2) == 1;
+    if (mask == 2) {
+      for (int p = 0; p < 32 / lanes_per_phase; ++p) {
+        if (rng.next_below(2) == 0) continue;
+        for (int l = 0; l < lanes_per_phase; ++l) {
+          active[static_cast<std::size_t>(p * lanes_per_phase + l)] = false;
+        }
+      }
+    }
+    if (mask == 3) active.fill(false);
+  }
+};
+
+TEST(BankConflict, MatchesPerBankVectorOracle) {
+  Rng rng(0xBA4C);
+  int conflicted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const RandomAccess a(rng, 48 * 1024);
+    const auto want = per_bank_vector_cost(a.addrs, a.active, a.width, a.is_store);
+    const auto got = smem_access_cost(a.addrs, a.active, a.width, a.is_store);
+    ASSERT_EQ(got.beats, want.beats) << "access " << i;
+    ASSERT_EQ(got.phases, want.phases) << "access " << i;
+    conflicted += want.conflict_free() ? 0 : 1;
+  }
+  // The patterns reach both regimes.
+  EXPECT_GT(conflicted, 2000);
+  EXPECT_LT(conflicted, 18000);
+}
+
+TEST(Coalescer, MatchesSortedVectorOracle) {
+  Rng rng(0xC0A1);
+  std::size_t most = 0;
+  for (int i = 0; i < 20000; ++i) {
+    RandomAccess a(rng, i % 2 == 0 ? 1u << 16 : 0xFFFFFFF0u);
+    // Every fourth access is byte-misaligned, so a lane can straddle two
+    // sectors.
+    if (i % 4 == 3) {
+      for (auto& addr : a.addrs) addr += static_cast<std::uint32_t>(rng.next_below(32));
+    }
+    const auto want = sorted_vector_sectors(a.addrs, a.active, a.width);
+    const auto got = coalesce_sectors(a.addrs, a.active, a.width);
+    ASSERT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()), want) << "access " << i;
+    most = std::max(most, want.size());
+  }
+  EXPECT_GT(most, 32u);
+
+  // The capacity bound: 32 lanes of 16 B, each straddling two sectors.
+  std::array<std::uint32_t, 32> addrs{};
+  for (std::uint32_t l = 0; l < 32; ++l) addrs[l] = 64 * l + 24;
+  const auto full = coalesce_sectors(addrs, all_active(), sass::MemWidth::k128);
+  EXPECT_EQ(std::vector<std::uint64_t>(full.begin(), full.end()),
+            sorted_vector_sectors(addrs, all_active(), sass::MemWidth::k128));
+  EXPECT_EQ(full.size(), 64u);
 }
 
 TEST(TokenBucket, ConsumeWithDebtDelaysByDebtOverRate) {

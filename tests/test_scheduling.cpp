@@ -3,6 +3,7 @@
 // proving that the hazard machinery actually bites.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,13 @@ TEST(Scheduling, TensorUtilizationIsHigh) {
   const double per_iter = slope(core::HgemmConfig::optimized());
   EXPECT_LT(per_iter, 4126.0 / 0.85);
   EXPECT_GE(per_iter, 4126.0 * 0.99);
+}
+
+TEST(Scheduling, NanL2HitRateLeavesAStandaloneSmOnItsPrivateL2) {
+  // Only a rate >= 0 pins L2 hits; NaN behaves as the emergent default.
+  const auto cfg = core::HgemmConfig::optimized();
+  EXPECT_EQ(steady_cycles(cfg, 6, std::numeric_limits<double>::quiet_NaN()),
+            steady_cycles(cfg, 6, -1.0));
 }
 
 TEST(Scheduling, UnderStalledHmmaProducesStaleResult) {

@@ -21,6 +21,7 @@
 #include "common/json_parse.hpp"
 #include "serve/serve.hpp"
 #include "serve/traffic.hpp"
+#include "support/fnv1a.hpp"
 #include "tune/cache.hpp"
 
 namespace tc {
@@ -345,6 +346,87 @@ TEST(Serve, MetricsAreBitwiseDeterministicAcrossHostThreads) {
   opt.workers = 3;
   serve::Server again(opt);
   EXPECT_EQ(metrics_json(again.run(traffic)), first);
+}
+
+/// FNV-1a over the metrics document plus every Completion field (which the
+/// document leaves out), so a pin sees a moved cycle in either.
+std::uint64_t metrics_hash(const serve::Metrics& m) {
+  std::string text = metrics_json(m);
+  for (const serve::Completion& c : m.completions) {
+    text += "\n" + std::to_string(c.id) + " " + std::to_string(c.tenant) + " " +
+            std::to_string(c.arrival_cycle) + " " + std::to_string(c.start_cycle) + " " +
+            std::to_string(c.completion_cycle) + " " + std::to_string(c.batch);
+  }
+  return testsupport::fnv1a(text);
+}
+
+TEST(Serve, MetricsArePinned) {
+  // Recorded values, not a same-build comparison: a change that moves every
+  // run alike (a pass cost, the scheduler, the timed engine, the memo)
+  // passes the determinism test above but not this one.
+  const auto expect_pin = [](const serve::Metrics& m, std::uint64_t want, const char* what) {
+    EXPECT_EQ(metrics_hash(m), want)
+        << what << ": got 0x" << std::hex << metrics_hash(m) << "\n" << metrics_json(m);
+  };
+
+  // Cold then warm on both specs, batch_max 4 so fused passes occur.
+  serve::TrafficOptions topt;
+  topt.requests = 40;
+  topt.tenants = 2;
+  topt.seed = 5;
+  topt.mean_gap_cycles = 1500.0;  // arrivals outpace the workers: queues form
+  const auto traffic = serve::llm_traffic(topt);
+  const struct {
+    device::DeviceSpec spec;
+    std::uint64_t cold, warm;
+  } specs[] = {{device::rtx2070(), 0x9e998d46acbfe2d6ull, 0x61a70ce0b9260304ull},
+               {device::t4(), 0xedcb71deb08a8a07ull, 0x3efdf7bc091f9eabull}};
+  for (const auto& s : specs) {
+    serve::ServerOptions opt = small_options(s.spec);
+    opt.batch_max = 4;
+    serve::Server server(opt);
+    const serve::Metrics cold = server.run(traffic);
+    const serve::Metrics warm = server.run(traffic);
+    EXPECT_LT(cold.counters.batches, cold.counters.batched_requests);  // some passes fused
+    expect_pin(cold, s.cold, "cold");
+    expect_pin(warm, s.warm, "warm");
+  }
+
+  // Op batch 2 and 4 in one stream: runs of equal batch fuse, the batch
+  // axis rides as z planes.
+  std::vector<serve::Request> batched;
+  for (int i = 0; i < 12; ++i) {
+    batched.push_back({static_cast<std::uint64_t>(i), i % 2, i < 6 ? GemmShape{64, 64, 64}
+                                                                    : GemmShape{128, 64, 128},
+                       static_cast<std::uint64_t>(i / 3) * 2000, (i / 3) % 2 == 0 ? 2 : 4});
+  }
+  serve::Server batch_server(small_options(device::rtx2070()));
+  expect_pin(batch_server.run(batched), 0xf97b16eed94ac83dull, "op batch");
+
+  // A warm cache whose winner is split-K: every pass costs the two-launch
+  // plan (main kernel plus reduction).
+  const GemmShape skinny{64, 64, 256};
+  tune::CacheEntry e;
+  e.key = tune::cache_key(device::rtx2070(), skinny);
+  e.cfg.bm = 64;
+  e.cfg.bn = 64;
+  e.cfg.bk = 32;
+  e.cfg.wm = 32;
+  e.cfg.wn = 32;
+  e.cfg.split_k = 2;
+  e.sim_cycles = 1;
+  e.budget = 2;
+  e.seed = 1;
+  e.engine = "timed-device";
+  tune::TuneCache warm_cache;
+  warm_cache.insert(e);
+  serve::ServerOptions sk_opt = small_options(device::rtx2070());
+  sk_opt.workers = 1;
+  serve::Server split_server(sk_opt, warm_cache);
+  const serve::Metrics sk = split_server.run(burst(6, 0, skinny));
+  EXPECT_EQ(sk.counters.tune_evals, 0u);
+  EXPECT_EQ(sk.counters.cache_hits, sk.counters.cache_lookups);
+  expect_pin(sk, 0xa98a63c1b51f9023ull, "split-K winner");
 }
 
 TEST(Serve, WeightedFairSchedulingFavorsHeavyTenant) {
