@@ -39,13 +39,6 @@ constexpr GemmShape kSkinny{256, 256, 4096};
 /// launch overhead is a visible fraction of a single plane's runtime.
 constexpr GemmShape kPlane{256, 256, 512};
 
-device::DeviceSpec device_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--device") return device::spec_by_name(argv[i + 1]);
-  }
-  return device::rtx2070();
-}
-
 op::OpTiming time_op(const device::DeviceSpec& spec, const op::GemmOp& gemm) {
   const op::OpPlan plan = op::lower(gemm, core::HgemmConfig::optimized());
   return op::time_gemm_op(spec, plan);
@@ -143,16 +136,17 @@ int run_batched(const device::DeviceSpec& spec, BenchJson* json) {
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
-  const auto spec = tc::bench::device_from_args(argc, argv);
-  const auto json_path = tc::bench::json_path_from_args(argc, argv);
+  const tc::Flags flags = tc::bench::parse_flags(argc, argv, {tc::bench::device_flag()});
+  const auto spec = tc::device::spec_by_name(flags.text("--device"));
+  const std::string& json_path = flags.text("--json");
   std::optional<tc::bench::BenchJson> json;
-  if (json_path) json.emplace("batched_splitk", spec.name);
+  if (!json_path.empty()) json.emplace("batched_splitk", spec.name);
   std::cout << "GemmOp lowering payoff: split-K fills the machine on skinny-grid\n"
             << "deep-K shapes; one z-batched launch amortizes launch overhead that a\n"
             << "loop of single-plane launches pays " << spec.launch_overhead_cycles
             << " cycles at a time.\n\n";
   int rc = tc::bench::run_split_k(spec, json ? &*json : nullptr);
   rc |= tc::bench::run_batched(spec, json ? &*json : nullptr);
-  if (json) json->write_file(*json_path);
+  if (json) json->write_file(json_path);
   return rc;
 }

@@ -5,12 +5,15 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/json.hpp"
 #include "common/matrix.hpp"
 #include "common/table.hpp"
@@ -97,12 +100,26 @@ class BenchJson {
   std::vector<Series> series_;
 };
 
-/// Parses an optional "--json <path>" argument shared by all benches.
-inline std::optional<std::string> json_path_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return std::string(argv[i + 1]);
+/// --step N: the W increment of a size sweep, `def` unless given (the full
+/// 256-step sweep of the paper is --step 256).
+inline Flag step_flag(std::uint64_t def) {
+  return Flag::integer("--step", 1, std::uint64_t{1} << 20, std::to_string(def));
+}
+
+/// --device: the spec a bench runs on, rtx2070 unless given.
+inline Flag device_flag() { return Flag::choice("--device", device::kSpecNames); }
+
+/// The bench's command line parsed against `table` plus --json PATH, where
+/// every bench writes its tc-bench-v1 document. Bad input prints an error
+/// naming the bench (argv[0]) or the flag, and the value, and exits 1.
+inline Flags parse_flags(int argc, char** argv, std::vector<Flag> table) {
+  table.push_back(Flag::path("--json"));
+  try {
+    return Flags(std::filesystem::path(argv[0]).filename().string(), table, argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    std::exit(1);
   }
-  return std::nullopt;
 }
 
 /// The paper's evaluation sweep: W = 1024 .. 16384 step 256 (Section VII).
@@ -111,15 +128,6 @@ inline std::vector<std::size_t> size_sweep(std::size_t step = 256) {
   std::vector<std::size_t> sizes;
   for (std::size_t w = 1024; w <= 16384; w += step) sizes.push_back(w);
   return sizes;
-}
-
-/// Parses an optional "--step N" argument (default 1024 for bench runs; the
-/// full 256-step sweep of the paper is available with --step 256).
-inline std::size_t step_from_args(int argc, char** argv, std::size_t def = 1024) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--step") return static_cast<std::size_t>(std::stoul(argv[i + 1]));
-  }
-  return def;
 }
 
 struct SweepStats {

@@ -9,10 +9,11 @@
 using namespace tc;
 
 int main(int argc, char** argv) {
-  const auto step = bench::step_from_args(argc, argv);
-  const auto json_path = bench::json_path_from_args(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {bench::step_flag(1024)});
+  const std::size_t step = flags.number("--step");
+  const std::string& json_path = flags.text("--json");
   std::optional<bench::BenchJson> json;
-  if (json_path) json.emplace("fig5_smem_padding", "rtx2070");
+  if (!json_path.empty()) json.emplace("fig5_smem_padding", "rtx2070");
   std::cout << "Fig. 5: shared-memory layout on RTX2070 (square W x W x W, step " << step
             << ")\n\n";
 
@@ -53,8 +54,8 @@ int main(int argc, char** argv) {
     json->begin_series("pipe_utilization", {"padded", "tensor_util", "mio_util"});
     json->row({1, up.tensor_util, up.mio_util});
     json->row({0, un.tensor_util, un.mio_util});
-    json->write_file(*json_path);
-    std::cout << "json written to " << *json_path << "\n";
+    json->write_file(json_path);
+    std::cout << "json written to " << json_path << "\n";
   }
   return 0;
 }

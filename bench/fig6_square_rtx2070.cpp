@@ -8,10 +8,11 @@
 using namespace tc;
 
 int main(int argc, char** argv) {
-  const auto step = bench::step_from_args(argc, argv);
-  const auto json_path = bench::json_path_from_args(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {bench::step_flag(1024)});
+  const std::size_t step = flags.number("--step");
+  const std::string& json_path = flags.text("--json");
   std::optional<bench::BenchJson> json;
-  if (json_path) json.emplace("fig6_square_rtx2070", "rtx2070");
+  if (!json_path.empty()) json.emplace("fig6_square_rtx2070", "rtx2070");
   std::cout << "Fig. 6: square HGEMM on RTX2070 (step " << step << ")\n\n";
 
   core::PerfEstimator ours(device::rtx2070(), core::HgemmConfig::optimized());
@@ -28,8 +29,8 @@ int main(int argc, char** argv) {
   std::cout << "paper reference: ours up to 60.37 TF; cuBLAS max 52.75 TF at 4096 with a\n"
                "sharp drop at W=12032; max speedup 2.7x; average speedup 1.55x\n";
   if (json) {
-    json->write_file(*json_path);
-    std::cout << "json written to " << *json_path << "\n";
+    json->write_file(json_path);
+    std::cout << "json written to " << json_path << "\n";
   }
   return 0;
 }

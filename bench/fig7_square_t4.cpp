@@ -6,10 +6,11 @@
 using namespace tc;
 
 int main(int argc, char** argv) {
-  const auto step = bench::step_from_args(argc, argv);
-  const auto json_path = bench::json_path_from_args(argc, argv);
+  const Flags flags = bench::parse_flags(argc, argv, {bench::step_flag(1024)});
+  const std::size_t step = flags.number("--step");
+  const std::string& json_path = flags.text("--json");
   std::optional<bench::BenchJson> json;
-  if (json_path) json.emplace("fig7_square_t4", "t4");
+  if (!json_path.empty()) json.emplace("fig7_square_t4", "t4");
   std::cout << "Fig. 7: square HGEMM on T4 (step " << step << ")\n\n";
 
   core::PerfEstimator ours(device::t4(), core::HgemmConfig::optimized());
@@ -26,8 +27,8 @@ int main(int argc, char** argv) {
   std::cout << "paper reference: ours ~49.7 TF plateau (DRAM-bound, 76% of peak), falling\n"
                "past 12800; cuBLAS max 45.43 TF; max speedup 1.7x; average 1.53x\n";
   if (json) {
-    json->write_file(*json_path);
-    std::cout << "json written to " << *json_path << "\n";
+    json->write_file(json_path);
+    std::cout << "json written to " << json_path << "\n";
   }
   return 0;
 }

@@ -54,13 +54,6 @@ core::HgemmConfig l2_stress_config() {
 /// Fig. 8 cliff width on a 4 MiB L2 (see file comment).
 constexpr std::size_t kDepth = 192;
 
-device::DeviceSpec device_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--device") return device::spec_by_name(argv[i + 1]);
-  }
-  return device::rtx2070();
-}
-
 int run(const device::DeviceSpec& spec, std::size_t step, BenchJson* json) {
   core::HgemmConfig row_major = l2_stress_config();
   row_major.launch_order = model::LaunchOrder::kRowMajor;
@@ -140,14 +133,16 @@ int run(const device::DeviceSpec& spec, std::size_t step, BenchJson* json) {
 }  // namespace tc::bench
 
 int main(int argc, char** argv) {
-  const auto spec = tc::bench::device_from_args(argc, argv);
-  const auto step = tc::bench::step_from_args(argc, argv, 2048);
-  const auto json_path = tc::bench::json_path_from_args(argc, argv);
+  const tc::Flags flags = tc::bench::parse_flags(
+      argc, argv, {tc::bench::device_flag(), tc::bench::step_flag(2048)});
+  const auto spec = tc::device::spec_by_name(flags.text("--device"));
+  const std::size_t step = flags.number("--step");
+  const std::string& json_path = flags.text("--json");
   std::optional<tc::bench::BenchJson> json;
-  if (json_path) json.emplace("fig8_swizzle", spec.name);
+  if (!json_path.empty()) json.emplace("fig8_swizzle", spec.name);
   std::cout << "Fig. 8 launch-order sweep: supertile dispatch holds the tensor-bound\n"
             << "plateau through the W=12032 cliff; row-major reproduces the drop.\n\n";
   const int rc = tc::bench::run(spec, step, json ? &*json : nullptr);
-  if (json) json->write_file(*json_path);
+  if (json) json->write_file(json_path);
   return rc;
 }

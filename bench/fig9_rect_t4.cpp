@@ -3,12 +3,12 @@
 #include "rect_common.hpp"
 
 int main(int argc, char** argv) {
-  const auto step = tc::bench::step_from_args(argc, argv, 2048);
-  const auto json_path = tc::bench::json_path_from_args(argc, argv);
+  const tc::Flags flags = tc::bench::parse_flags(argc, argv, {tc::bench::step_flag(2048)});
+  const std::size_t step = flags.number("--step");
+  const std::string& json_path = flags.text("--json");
   std::optional<tc::bench::BenchJson> json;
-  if (json_path) json.emplace("fig9_rect_t4", "t4");
+  if (!json_path.empty()) json.emplace("fig9_rect_t4", "t4");
   std::cout << "Fig. 9: rectangular HGEMM on T4 (step " << step << ")\n"
             << "(paper: max speedup 2.17x at W=15360 [W x W x 4W]; average 1.45x)\n\n";
-  return tc::bench::run_rect(tc::device::t4(), step, json ? &*json : nullptr,
-                             json_path.value_or(""));
+  return tc::bench::run_rect(tc::device::t4(), step, json ? &*json : nullptr, json_path);
 }

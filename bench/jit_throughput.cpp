@@ -31,7 +31,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,20 +48,6 @@
 
 namespace tc::bench {
 namespace {
-
-device::DeviceSpec device_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--device") return device::spec_by_name(argv[i + 1]);
-  }
-  return device::rtx2070();
-}
-
-std::optional<std::string> static_path_from_args(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json-static") return std::string(argv[i + 1]);
-  }
-  return std::nullopt;
-}
 
 /// The dispatch-bound workload: an unrolled integer/float ALU body inside a
 /// counted loop, one store at the end so nothing is trivially dead. No MMA,
@@ -184,7 +169,8 @@ WorkloadResult run_workload(const std::string& name, const sass::Program& prog,
 }
 
 int run(int argc, char** argv) {
-  const auto spec = device_from_args(argc, argv);
+  const Flags flags = parse_flags(argc, argv, {device_flag(), Flag::path("--json-static")});
+  const auto spec = device::spec_by_name(flags.text("--device"));
   // Grid spans the device once: the static series (instruction totals) then
   // differs per spec, so each fixture actually pins something device-shaped.
   const auto grid = static_cast<std::uint32_t>(spec.num_sms);
@@ -267,11 +253,11 @@ int run(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\n";
 
-  if (const auto path = json_path_from_args(argc, argv)) json.write_file(*path);
-  if (const auto path = static_path_from_args(argc, argv)) {
+  if (const std::string& path = flags.text("--json"); !path.empty()) json.write_file(path);
+  if (const std::string& path = flags.text("--json-static"); !path.empty()) {
     BenchJson fixture("jit_throughput", spec.name);
     fill_static(fixture);
-    fixture.write_file(*path);
+    fixture.write_file(path);
   }
   for (const auto& w : results) {
     if (!w.bitwise_match) {

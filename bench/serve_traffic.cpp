@@ -51,8 +51,8 @@ serve::ServerOptions base_options() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_path = bench::parse_flags(argc, argv, {}).text("--json");
   try {
-    const auto json_path = bench::json_path_from_args(argc, argv);
     bench::BenchJson json("serve_traffic", "rtx2070");
 
     serve::TrafficOptions topt;
@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
     }
     bs.print(std::cout);
 
-    if (json_path) {
-      json.write_file(*json_path);
-      std::cout << "json written to " << *json_path << "\n";
+    if (!json_path.empty()) {
+      json.write_file(json_path);
+      std::cout << "json written to " << json_path << "\n";
     }
     return 0;
   } catch (const std::exception& e) {

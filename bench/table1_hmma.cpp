@@ -97,6 +97,7 @@ std::pair<int, int> measure_latency() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_path = bench::parse_flags(argc, argv, {}).text("--json");
   std::cout << "Table I: throughput and latency of HMMA.1688.F16\n";
   std::cout << "(paper: CPI theoretical 8.00, measured 8.06; latency 10 / 14 cycles)\n\n";
 
@@ -112,13 +113,13 @@ int main(int argc, char** argv) {
   t.add_row({"Latency for the second half of D16x8", std::to_string(hi)});
   t.print(std::cout);
 
-  if (const auto json_path = bench::json_path_from_args(argc, argv)) {
+  if (!json_path.empty()) {
     bench::BenchJson json("table1_hmma");
     json.begin_series("hmma_1688_f16",
                       {"cpi_theoretical", "cpi_rtx2070", "cpi_t4", "latency_lo", "latency_hi"});
     json.row({8.0, cpi_2070, cpi_t4, static_cast<double>(lo), static_cast<double>(hi)});
-    json.write_file(*json_path);
-    std::cout << "json written to " << *json_path << "\n";
+    json.write_file(json_path);
+    std::cout << "json written to " << json_path << "\n";
   }
   return 0;
 }

@@ -40,9 +40,7 @@ BwResult measure(const device::DeviceSpec& spec) {
     launch.grid_x = 2;
     launch.params = {clocks.addr, data.addr};
     const sim::CtaCoord ctas[2] = {{0, 0}, {1, 0}};
-    auto cfg = dev.timing_sm_share();
-    cfg.model_l1 = false;  // .CG bypasses L1 anyway
-    const auto stats = dev.run_timed(launch, std::span(ctas, 2), cfg);
+    const auto stats = dev.run_timed(launch, std::span(ctas, 2), dev.timing_sm_share());
     const double bytes_per_cycle = stats.dram_bytes / static_cast<double>(stats.cycles);
     out.dram_gbps = bytes_per_cycle * spec.num_sms * spec.sm_clock_ghz;
   }

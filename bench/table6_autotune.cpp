@@ -81,9 +81,9 @@ int run_device(const std::string& name, bench::BenchJson* json) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = bench::parse_flags(argc, argv, {}).text("--json");
   std::optional<bench::BenchJson> json;
-  if (json_path) json.emplace("table6_autotune", "rtx2070+t4");
+  if (!json_path.empty()) json.emplace("table6_autotune", "rtx2070+t4");
 
   std::cout << "Table VI re-derived by the autotuner (tc::tune)\n";
   int rc = 0;
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
   rc |= run_device("t4", json ? &*json : nullptr);
 
   if (json) {
-    json->write_file(*json_path);
-    std::cout << "json written to " << *json_path << "\n";
+    json->write_file(json_path);
+    std::cout << "json written to " << json_path << "\n";
   }
   return rc;
 }

@@ -83,9 +83,9 @@ void print_table(const std::string& title, const model::CpiSet& cpi,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto json_path = bench::json_path_from_args(argc, argv);
+  const std::string json_path = bench::parse_flags(argc, argv, {}).text("--json");
   std::optional<bench::BenchJson> json;
-  if (json_path) json.emplace("table6_blocking", "rtx2070");
+  if (!json_path.empty()) json.emplace("table6_blocking", "rtx2070");
   std::cout << "Table VI: cycles needed by the Tensor Core pipe vs the memory IO pipe\n\n";
 
   print_table("(a) with the paper's measured CPIs", model::CpiSet{},
@@ -129,8 +129,8 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   if (json) {
-    json->write_file(*json_path);
-    std::cout << "json written to " << *json_path << "\n";
+    json->write_file(json_path);
+    std::cout << "json written to " << json_path << "\n";
   }
   return 0;
 }

@@ -1,61 +1,20 @@
-// tcgemm_cli — command-line front end for the library.
-//
-//   tcgemm_cli run  --m 512 --n 512 --k 256 [--device rtx2070] [--check]
-//                   [--engine interpret|jit]
-//   tcgemm_cli perf --m 8192 --n 8192 --k 8192 [--device t4] [--baseline]
-//                   [--profile] [--top N] [--trace-out trace.json]
-//   tcgemm_cli lint [--m M --n N --k K] [--baseline]
-//   tcgemm_cli schedule [--m M --n N --k K] [--baseline] [--wmma] [--device rtx2070]
-//   tcgemm_cli disasm [--baseline]
-//   tcgemm_cli check [--m M --n N --k K]
-//   tcgemm_cli fuzz [--programs N] [--seed S] [--numerics idealized|bitaccurate]
-//                   [--numeric-operands] [--engine timed|jit]
-//   tcgemm_cli numerics [--m M --n N] [--k KMAX] [--seed S]
-//   tcgemm_cli tune [--m M --n N --k K] [--device rtx2070|t4] [--budget N]
-//                   [--explore N] [--seed S] [--threads N] [--engine device|model]
-//                   [--cache winners.json]
-//   tcgemm_cli serve [--requests N] [--tenants N] [--workers N] [--device rtx2070|t4]
-//                    [--cache winners.json] [--seed S] [--budget N] [--threads N]
-//   tcgemm_cli op    [--m M --n N --k K] [--batch B] [--split-k S] [--alpha A]
-//                    [--beta B] [--bias] [--act none|relu|gelu] [--check]
-//
-// `run` executes the kernel functionally on the simulator (optionally
-// validating against the bit-exact reference); `perf` prints the estimated
-// full-device time/TFLOPS and, with --profile, hardware-style counters for
-// the steady-state portion (pipe utilization, stall attribution, optional
-// Chrome-trace timeline for chrome://tracing / Perfetto); `lint` runs the
-// static schedule checks including the latency-table slack analysis;
-// `schedule` compares the automatic scheduler's minimal (no-reorder) and
-// full pipelines on the real kernel: pass statistics, single-CTA timed
-// cycles for each mode, and the stall-slack lint of the shipped schedule;
-// `disasm` dumps the generated SASS; `check` runs the scoreboard hazard
-// detector (src/check) over every built-in kernel and fails on any error;
-// `fuzz` differentially fuzzes the two executors (see docs/checking.md);
-// `numerics` sweeps error-vs-k curves comparing idealized, bit-accurate
-// FP16-accumulate and bit-accurate FP32-accumulate HMMA semantics against a
-// double-precision oracle (see docs/numerics.md);
-// `op` lowers a GemmOp (batched / split-K / fused-epilogue GEMM) to its
-// kernel-launch plan, executes it on the simulator and optionally checks the
-// output bitwise against the op-level host reference (see docs/ops.md);
-// `tune` runs the model-guided autotuner over the legal config space and
-// prints the ranked candidates (see docs/tuning.md); with --cache it answers
-// from / appends to the persistent shape-bucketed tuning cache; `serve`
-// replays seeded multi-tenant GEMM traffic through the serving layer
-// (tc::serve) against the same cache (see docs/serving.md).
-// All commands accept --json <path> for machine-readable output.
-#include <charconv>
+// tcgemm_cli — command-line front end for the library. The commands, the
+// flags each one takes and their defaults are the table in commands() below;
+// tcgemm_cli with no command prints the usage text made from it. Every
+// command takes --json PATH for a tc-cli-v1 document.
+#include <algorithm>
 #include <climits>
 #include <cstring>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <string>
-#include <type_traits>
 
 #include "check/fuzz.hpp"
 #include "check/hazard.hpp"
+#include "common/flags.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -82,225 +41,75 @@ using namespace tc;
 
 namespace {
 
-struct Args {
-  std::string command;
-  std::size_t m = 512, n = 512, k = 256;
-  std::string device = "rtx2070";
-  bool check = false;
-  bool baseline = false;
-  bool wmma = false;
-  bool profile = false;
-  int top = 10;
-  bool top_set = false;          // --top given explicitly
-  int programs = 200;
-  std::uint64_t seed = 1;
-  std::string trace_out;
-  std::string json;
-  /// Meaning is per command — perf/tune: "model" (WavePerf) or "device"
-  /// (TimedDevice); run: "interpret" or "jit" (functional engine); fuzz:
-  /// "timed" (functional-vs-timed) or "jit" (jit-vs-interpreter).
-  std::string engine = "model";
-  bool shape_set = false;        // any of --m/--n/--k given
-  bool mn_set = false;           // --m or --n given explicitly
-  bool k_set = false;            // --k given explicitly
-  bool engine_set = false;
-  int budget = 24;   // tune: timed evaluations
-  int explore = -1;  // tune: seeded off-rank picks (-1 = budget/4)
-  int threads = 1;   // tune: host evaluation threads
-  std::string cache;  // tune/serve: persistent tuning-cache file
-  int requests = 120; // serve: traffic size
-  int tenants = 2;    // serve: traffic tenants
-  int workers = 2;    // serve: simulated device workers
-  /// HMMA semantics for run/fuzz (--numerics idealized|bitaccurate).
-  numerics::NumericsMode numerics = numerics::NumericsMode::kIdealized;
-  bool numeric_operands = false;  // fuzz: numerics operand class
-  int batch = 1;        // op: strided-batch count
-  int split_k = 1;      // op: split-K factor
-  double alpha = 1.0;   // op: epilogue alpha
-  double beta = 0.0;    // op: epilogue beta
-  bool bias = false;    // op: per-column bias row
-  std::string act = "none";  // op: activation (none|relu|gelu)
+struct Command {
+  const char* name;
+  const char* what;  // one line of usage text
+  std::vector<Flag> flags;
 };
 
-/// Largest --m/--n/--k accepted.
-constexpr std::uint64_t kMaxDim = std::uint64_t{1} << 20;
-
-/// The value of numeric flag `flag`: all of `text` as a T in [lo, hi].
-/// Integer flags are sizes and counts, so they take decimal digits only (no
-/// sign); real flags take any finite decimal number. The error names the
-/// flag and the value.
-template <typename T>
-T parse_number(const std::string& flag, const std::string& text,
-               T lo = std::numeric_limits<T>::lowest(), T hi = std::numeric_limits<T>::max()) {
-  static_assert(std::is_same_v<T, std::uint64_t> || std::is_same_v<T, double>);
-  T v{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, v);
-  if (text.empty() || ec != std::errc{} || stop != end || !(v >= lo && v <= hi)) {
-    std::ostringstream want;
-    if constexpr (std::is_integral_v<T>) {
-      want << "an integer in [" << lo << ", " << hi << "]";
-    } else {
-      want << "a finite number";
-    }
-    throw Error(flag + " takes " + want.str() + ", got '" + text + "'");
-  }
-  return v;
-}
-
-Args parse(int argc, char** argv) {
-  Args a;
-  if (argc < 2) return a;
-  a.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto value = [&]() -> std::string {
-      TC_CHECK(i + 1 < argc, "flag " + flag + " needs a value");
-      return argv[++i];
+/// Every command with the flags it takes, their ranges or choices and its
+/// defaults. A command rejects every flag outside its own list.
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = [] {
+    const auto dim = [](const char* name, const char* def, std::uint64_t lo = 1) {
+      return Flag::integer(name, lo, std::uint64_t{1} << 20, def);
     };
-    const auto dim = [&] { return parse_number<std::uint64_t>(flag, value(), 1, kMaxDim); };
-    const auto count = [&](std::uint64_t lo) {
-      return static_cast<int>(parse_number<std::uint64_t>(flag, value(), lo, INT_MAX));
+    const auto count = [](const char* name, const char* def, std::uint64_t lo) {
+      return Flag::integer(name, lo, INT_MAX, def);
     };
-    if (flag == "--m") {
-      a.m = dim();
-      a.shape_set = true;
-      a.mn_set = true;
-    } else if (flag == "--n") {
-      a.n = dim();
-      a.shape_set = true;
-      a.mn_set = true;
-    } else if (flag == "--k") {
-      a.k = dim();
-      a.shape_set = true;
-      a.k_set = true;
-    } else if (flag == "--device") {
-      a.device = value();
-    } else if (flag == "--check") {
-      a.check = true;
-    } else if (flag == "--baseline") {
-      a.baseline = true;
-    } else if (flag == "--wmma") {
-      a.wmma = true;
-    } else if (flag == "--profile") {
-      a.profile = true;
-    } else if (flag == "--top") {
-      a.top = count(0);
-      a.top_set = true;
-    } else if (flag == "--programs") {
-      a.programs = count(0);
-    } else if (flag == "--seed") {
-      a.seed = parse_number<std::uint64_t>(flag, value());
-    } else if (flag == "--trace-out") {
-      a.trace_out = value();
-    } else if (flag == "--json") {
-      a.json = value();
-    } else if (flag == "--engine") {
-      a.engine = value();
-      a.engine_set = true;
-      // Command-specific values are checked at the command; here only gate
-      // the union so typos fail at parse time.
-      TC_CHECK(a.engine == "model" || a.engine == "device" || a.engine == "interpret" ||
-                   a.engine == "jit" || a.engine == "timed",
-               "--engine must be one of model|device|interpret|jit|timed");
-    } else if (flag == "--budget") {
-      a.budget = count(1);
-    } else if (flag == "--explore") {
-      a.explore = count(0);
-    } else if (flag == "--threads") {
-      a.threads = count(1);
-    } else if (flag == "--cache") {
-      a.cache = value();
-    } else if (flag == "--requests") {
-      a.requests = count(0);
-    } else if (flag == "--tenants") {
-      a.tenants = count(1);
-    } else if (flag == "--workers") {
-      a.workers = count(1);
-    } else if (flag == "--numerics") {
-      const std::string v = value();
-      TC_CHECK(numerics::parse_numerics_mode(v, a.numerics),
-               "--numerics must be 'idealized' or 'bitaccurate'");
-    } else if (flag == "--numeric-operands") {
-      a.numeric_operands = true;
-    } else if (flag == "--batch") {
-      a.batch = count(1);
-    } else if (flag == "--split-k") {
-      a.split_k = count(1);
-    } else if (flag == "--alpha") {
-      a.alpha = parse_number<double>(flag, value());
-    } else if (flag == "--beta") {
-      a.beta = parse_number<double>(flag, value());
-    } else if (flag == "--bias") {
-      a.bias = true;
-    } else if (flag == "--act") {
-      a.act = value();
-      TC_CHECK(a.act == "none" || a.act == "relu" || a.act == "gelu",
-               "--act must be 'none', 'relu' or 'gelu'");
-    } else {
-      throw Error("unknown flag " + flag);
-    }
-  }
-  if (a.command == "numerics") {
-    // Small m/n keep the sweep fast; the interesting axis is k.
-    if (!a.mn_set) {
-      a.m = 64;
-      a.n = 64;
-    }
-    if (!a.k_set) a.k = 1024;
-  }
-  if (a.command == "tune" && !a.shape_set) {
-    // tune defaults to the shape the recorded single-CTA baselines use, so
-    // `tcgemm_cli tune` is directly comparable to the hand-derived 16090.
-    a.m = 256;
-    a.n = 256;
-    a.k = 64;
-  }
-  return a;
-}
-
-bool known_command(const std::string& command) {
-  for (const char* c : {"run", "perf", "lint", "schedule", "disasm", "check", "fuzz", "numerics",
-                        "tune", "serve", "op"}) {
-    if (command == c) return true;
-  }
-  return false;
+    const Flag m = dim("--m", "512"), n = dim("--n", "512"), k = dim("--k", "256");
+    const Flag spec = Flag::choice("--device", device::kSpecNames);
+    const Flag baseline = Flag::toggle("--baseline"), check = Flag::toggle("--check");
+    const Flag seed = Flag::integer("--seed", 0, std::numeric_limits<std::uint64_t>::max(), "1");
+    const Flag mode = Flag::choice("--numerics", {"idealized", "bitaccurate"});
+    const Flag json = Flag::path("--json");
+    const Flag budget = count("--budget", "24", 1), threads = count("--threads", "1", 1);
+    const Flag top = count("--top", "10", 0), cache = Flag::path("--cache");
+    return std::vector<Command>{
+        {"run", "run the kernel functionally; --check compares C with the reference",
+         {m, n, k, spec, check, baseline, Flag::choice("--engine", {"interpret", "jit"}), mode,
+          json}},
+        {"perf", "full-device time and TFLOPS; --profile adds steady-state counters",
+         {m, n, k, spec, baseline, Flag::choice("--engine", {"model", "device"}),
+          Flag::toggle("--profile"), top, Flag::path("--trace-out"), json}},
+        {"lint", "static schedule checks, latency-table slack included",
+         {m, n, k, baseline, json}},
+        {"schedule", "minimal vs full scheduler on the real kernel, single-CTA timed",
+         {m, n, k, baseline, Flag::toggle("--wmma"), spec, json}},
+        {"disasm", "the generated SASS, in the form sass::assemble reads",
+         {m, n, k, baseline, json}},
+        {"check", "scoreboard hazard scan of every built-in kernel (docs/checking.md)",
+         {m, n, k, json}},
+        {"fuzz", "differential fuzz of two executors (docs/checking.md)",
+         {count("--programs", "200", 0), seed, mode, Flag::toggle("--numeric-operands"),
+          Flag::choice("--engine", {"timed", "jit"}), json}},
+        {"numerics", "error-vs-k curves of the HMMA semantics (docs/numerics.md)",
+         {dim("--m", "64"), dim("--n", "64"), dim("--k", "1024", 64), seed, json}},
+        {"tune", "model-guided autotuner over the legal configs (docs/tuning.md)",
+         {dim("--m", "256"), dim("--n", "256"), dim("--k", "64"), spec, budget,
+          count("--explore", "", 0), seed, threads, Flag::choice("--engine", {"device", "model"}),
+          top, cache, json}},
+        {"serve", "seeded multi-tenant traffic through the GEMM server (docs/serving.md)",
+         {count("--requests", "120", 0), count("--tenants", "2", 1), count("--workers", "2", 1),
+          spec, cache, seed, budget, threads, json}},
+        {"op", "lower, run and check a batched/split-K/epilogue GemmOp (docs/ops.md)",
+         {m, n, k, count("--batch", "1", 1), count("--split-k", "1", 1),
+          Flag::real("--alpha", "1"), Flag::real("--beta", "0"), Flag::toggle("--bias"),
+          Flag::choice("--act", {"none", "relu", "gelu"}), spec, check, baseline, mode, seed,
+          json}},
+    };
+  }();
+  return table;
 }
 
 int usage() {
-  std::cout
-      << "usage:\n"
-         "  tcgemm_cli run    --m M --n N --k K [--device rtx2070|t4] [--check] [--baseline]\n"
-         "                    [--engine interpret|jit]\n"
-         "  tcgemm_cli perf   --m M --n N --k K [--device rtx2070|t4] [--baseline]\n"
-         "                    [--engine model|device] [--profile] [--top N]\n"
-         "                    [--trace-out trace.json]\n"
-         "  tcgemm_cli lint   [--m M --n N --k K] [--baseline]\n"
-         "  tcgemm_cli schedule [--m M --n N --k K] [--baseline] [--wmma]\n"
-         "                    [--device rtx2070|t4]\n"
-         "  tcgemm_cli disasm [--m M --n N --k K] [--baseline]\n"
-         "  tcgemm_cli check  [--m M --n N --k K]\n"
-         "  tcgemm_cli fuzz   [--programs N] [--seed S] [--numerics idealized|bitaccurate]\n"
-         "                    [--numeric-operands] [--engine timed|jit]\n"
-         "  tcgemm_cli numerics [--m M --n N] [--k KMAX] [--seed S]\n"
-         "  tcgemm_cli tune   [--m M --n N --k K] [--device rtx2070|t4] [--budget N]\n"
-         "                    [--explore N] [--seed S] [--threads N] [--engine device|model]\n"
-         "                    [--top N] [--cache winners.json]\n"
-         "  tcgemm_cli serve  [--requests N] [--tenants N] [--workers N]\n"
-         "                    [--device rtx2070|t4] [--cache winners.json] [--seed S]\n"
-         "                    [--budget N] [--threads N]\n"
-         "  tcgemm_cli op     [--m M --n N --k K] [--batch B] [--split-k S]\n"
-         "                    [--alpha A] [--beta B] [--bias] [--act none|relu|gelu]\n"
-         "                    [--device rtx2070|t4] [--check] [--baseline]\n"
-         "                    [--numerics idealized|bitaccurate]\n"
-         "common: --json <path> writes machine-readable results;\n"
-         "        run accepts --numerics idealized|bitaccurate (HMMA math semantics)\n";
+  std::cout << "usage: tcgemm_cli <command> [flags]\n"
+               "Each flag shows its default, or its choices with the default first.\n";
+  for (const Command& c : commands()) {
+    std::cout << "  " << std::left << std::setw(10) << c.name << c.what << "\n"
+              << flags_usage(c.flags, 12);
+  }
   return 2;
-}
-
-/// The padded kernel-contract shape for disasm/lint.
-GemmShape contract_shape(const Args& args, const core::HgemmConfig& cfg) {
-  return cfg.contract_shape({args.m, args.n, args.k});
 }
 
 void json_profile_fields(JsonWriter& j, const prof::Profiler& p, const prof::CounterSet& c,
@@ -348,46 +157,67 @@ void json_profile_fields(JsonWriter& j, const prof::Profiler& p, const prof::Cou
 
 int main(int argc, char** argv) {
   try {
-    const Args args = parse(argc, argv);
-    if (!known_command(args.command)) return usage();
-    auto cfg =
-        args.baseline ? core::HgemmConfig::cublas_like() : core::HgemmConfig::optimized();
-    cfg.numerics = args.numerics;
+    const auto& cmds = commands();
+    const auto it = std::find_if(cmds.begin(), cmds.end(), [&](const Command& c) {
+      return argc >= 2 && std::strcmp(c.name, argv[1]) == 0;
+    });
+    if (it == cmds.end()) return usage();
+    const std::string command = it->name;
+    const Flags flags(command, it->flags, argc, argv, 2);
+    if (command == "perf") {
+      // --top and --trace-out need --profile, which the device engine does
+      // not take.
+      for (const std::string flag : {"--profile", "--top", "--trace-out"}) {
+        if (!flags.given(flag)) continue;
+        if (flags.text("--engine") == "device") {
+          throw Error("perf --engine device does not take " + flag);
+        }
+        if (!flags.given("--profile")) throw Error("perf " + flag + " needs --profile");
+      }
+    }
+    const auto gemm_shape = [&] {
+      return GemmShape{flags.number("--m"), flags.number("--n"), flags.number("--k")};
+    };
+    auto cfg = flags.given("--baseline") ? core::HgemmConfig::cublas_like()
+                                         : core::HgemmConfig::optimized();
+    if (flags.given("--numerics")) {  // its choices are the names parse_numerics_mode reads
+      (void)numerics::parse_numerics_mode(flags.text("--numerics"), cfg.numerics);
+    }
 
+    const std::string& json_path = flags.text("--json");
     std::ofstream json_os;
     std::optional<JsonWriter> json;
-    if (!args.json.empty()) {
-      json_os.open(args.json);
-      TC_CHECK(json_os.good(), "cannot open " + args.json + " for writing");
+    if (!json_path.empty()) {
+      json_os.open(json_path);
+      TC_CHECK(json_os.good(), "cannot open " + json_path + " for writing");
       json.emplace(json_os);
       json->begin_object();
       json->field("schema", "tc-cli-v1");
-      json->field("command", args.command);
+      json->field("command", command);
       json->field("config", cfg.name());
-      json->field("device", args.device);
-      json->field("m", static_cast<std::uint64_t>(args.m));
-      json->field("n", static_cast<std::uint64_t>(args.n));
-      json->field("k", static_cast<std::uint64_t>(args.k));
+      // A command without --device or a shape reports the values those
+      // flags default to elsewhere, so every document has the same header.
+      json->field("device", flags.takes("--device") ? flags.text("--device") : "rtx2070");
+      json->field("m", flags.takes("--m") ? flags.number("--m") : 512);
+      json->field("n", flags.takes("--n") ? flags.number("--n") : 512);
+      json->field("k", flags.takes("--k") ? flags.number("--k") : 256);
     }
     const auto finish_json = [&] {
       if (json) {
         json->end_object();
         json_os << "\n";
-        std::cout << "json written to " << args.json << "\n";
+        std::cout << "json written to " << json_path << "\n";
       }
     };
 
-    if (args.command == "run") {
-      if (args.engine_set) {
-        TC_CHECK(args.engine == "interpret" || args.engine == "jit",
-                 "run --engine must be 'interpret' or 'jit'");
-        cfg.engine = sim::parse_exec_engine(args.engine);
-      }
+    if (command == "run") {
+      const GemmShape s = gemm_shape();
+      cfg.engine = sim::parse_exec_engine(flags.text("--engine"));
       Rng rng(1);
-      HalfMatrix a(args.m, args.k), bt(args.n, args.k);
+      HalfMatrix a(s.m, s.k), bt(s.n, s.k);
       a.randomize(rng, -0.5f, 0.5f);
       bt.randomize(rng, -0.5f, 0.5f);
-      driver::Device dev(device::spec_by_name(args.device));
+      driver::Device dev(device::spec_by_name(flags.text("--device")));
       const HalfMatrix c = core::run_hgemm(dev, a, bt, cfg);
       std::cout << "ran " << cfg.name() << " on " << dev.spec().name << " (numerics="
                 << numerics::numerics_mode_name(cfg.numerics)
@@ -395,7 +225,7 @@ int main(int argc, char** argv) {
                 << " x " << c.cols() << ", C[0][0] = " << c.at(0, 0) << "\n";
       if (json) json->field("engine", sim::exec_engine_name(cfg.engine));
       int rc = 0;
-      if (args.check) {
+      if (flags.given("--check")) {
         // The bit-exact reference must follow the launched semantics.
         const HalfMatrix ref = cfg.numerics == numerics::NumericsMode::kBitAccurate
                                    ? numerics::gemm_bitacc_f16(a, bt)
@@ -412,27 +242,12 @@ int main(int argc, char** argv) {
       return rc;
     }
 
-    if (args.command == "perf") {
-      if (args.engine_set) {
-        TC_CHECK(args.engine == "model" || args.engine == "device",
-                 "perf --engine must be 'model' or 'device'");
-      }
-      // A flag perf cannot apply is an error, never silently ignored.
-      if (args.engine == "device") {
-        TC_CHECK(!args.profile, "perf --engine device does not support --profile");
-        TC_CHECK(args.trace_out.empty(), "perf --engine device does not support --trace-out");
-        TC_CHECK(!args.top_set, "perf --engine device does not support --top");
-      } else if (!args.profile) {
-        TC_CHECK(args.trace_out.empty(), "perf --trace-out needs --profile");
-        TC_CHECK(!args.top_set, "perf --top needs --profile");
-      }
-    }
-    if (args.command == "perf" && args.engine == "device") {
+    if (command == "perf" && flags.text("--engine") == "device") {
       // Cycle-level multi-SM simulation of the whole grid (shared L2/DRAM,
       // dynamic CTA dispatch). Cost scales with m*n*k — intended for the
       // small shapes the cross-validation harness uses, not W = 16384.
-      const device::DeviceSpec spec = device::spec_by_name(args.device);
-      const GemmShape shape = contract_shape(args, cfg);
+      const device::DeviceSpec spec = device::spec_by_name(flags.text("--device"));
+      const GemmShape shape = cfg.contract_shape(gemm_shape());
       model::ValidateKernelInput kin;
       kin.make_kernel = [&](const GemmShape& s) { return core::hgemm_kernel(cfg, s); };
       kin.name = cfg.name();
@@ -471,12 +286,13 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (args.command == "perf") {
-      const device::DeviceSpec spec = device::spec_by_name(args.device);
+    if (command == "perf") {
+      const device::DeviceSpec spec = device::spec_by_name(flags.text("--device"));
+      const GemmShape s = gemm_shape();
       core::PerfEstimator est(spec, cfg);
-      const auto p = est.estimate({args.m, args.n, args.k});
-      std::cout << cfg.name() << " on " << est.spec().name << " for " << args.m << " x "
-                << args.n << " x " << args.k << ":\n"
+      const auto p = est.estimate(s);
+      std::cout << cfg.name() << " on " << est.spec().name << " for " << s.m << " x " << s.n
+                << " x " << s.k << ":\n"
                 << "  " << p.tflops << " TFLOPS, " << p.seconds * 1e3 << " ms, " << p.waves
                 << " waves, L2 hit " << p.l2_hit_rate << ", " << p.cycles_per_iter
                 << " cycles/iteration\n";
@@ -493,28 +309,30 @@ int main(int argc, char** argv) {
         json->end_object();
       }
 
-      if (args.profile) {
+      if (flags.given("--profile")) {
+        const std::string& trace_out = flags.text("--trace-out");
+        const int top = flags.number<int>("--top");
         std::optional<prof::TraceWriter> trace;
-        if (!args.trace_out.empty()) trace.emplace();
-        const core::HgemmProfile hp = core::profile_hgemm(
-            spec, cfg, {args.m, args.n, args.k}, trace ? &*trace : nullptr);
+        if (!trace_out.empty()) trace.emplace();
+        const core::HgemmProfile hp =
+            core::profile_hgemm(spec, cfg, s, trace ? &*trace : nullptr);
         std::cout << "\nsteady-state profile (" << hp.iterations << " main-loop iterations, "
                   << hp.ctas_per_sm << " CTAs/SM, L2 hit "
                   << fmt_fixed(hp.l2_hit_rate, 2) << "):\n";
-        hp.profiler.print_report(std::cout, hp.counters, args.top);
+        hp.profiler.print_report(std::cout, hp.counters, top);
         if (trace) {
-          trace->write_file(args.trace_out);
-          std::cout << "trace written to " << args.trace_out
+          trace->write_file(trace_out);
+          std::cout << "trace written to " << trace_out
                     << " (load in chrome://tracing or https://ui.perfetto.dev)\n";
         }
-        if (json) json_profile_fields(*json, hp.profiler, hp.counters, args.top);
+        if (json) json_profile_fields(*json, hp.profiler, hp.counters, top);
       }
       finish_json();
       return 0;
     }
 
-    if (args.command == "lint") {
-      const GemmShape shape = contract_shape(args, cfg);
+    if (command == "lint") {
+      const GemmShape shape = cfg.contract_shape(gemm_shape());
       const sass::Program prog = core::hgemm_kernel(cfg, shape);
       sass::validate(prog);
       const auto base = sass::lint(prog);
@@ -537,17 +355,16 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (args.command == "schedule") {
+    if (command == "schedule") {
       // The scheduler's own before/after story on the real kernel: the
       // minimal mode only inserts stalls/barriers into the semantic order,
       // the full mode also hoists independent work into stall shadows.
-      const device::DeviceSpec spec = device::spec_by_name(args.device);
-      const GemmShape shape = args.wmma
-                                  ? GemmShape{16, 128, 64}
-                                  : contract_shape(args, cfg);
-      const std::string kernel_name = args.wmma ? "wmma_naive" : cfg.name();
-      const sass::Program virt = args.wmma ? core::wmma_naive_kernel_virtual(shape)
-                                           : core::hgemm_kernel_virtual(cfg, shape);
+      const device::DeviceSpec spec = device::spec_by_name(flags.text("--device"));
+      const bool wmma = flags.given("--wmma");
+      const GemmShape shape = wmma ? GemmShape{16, 128, 64} : cfg.contract_shape(gemm_shape());
+      const std::string kernel_name = wmma ? "wmma_naive" : cfg.name();
+      const sass::Program virt = wmma ? core::wmma_naive_kernel_virtual(shape)
+                                      : core::hgemm_kernel_virtual(cfg, shape);
 
       sched::ScheduleOptions minimal_opts;
       minimal_opts.reorder = false;
@@ -627,15 +444,15 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (args.command == "disasm") {
-      const sass::Program prog = core::hgemm_kernel(cfg, contract_shape(args, cfg));
+    if (command == "disasm") {
+      const sass::Program prog = core::hgemm_kernel(cfg, cfg.contract_shape(gemm_shape()));
       std::cout << prog.disassemble();
       if (json) json->field("instructions", static_cast<std::uint64_t>(prog.code.size()));
       finish_json();
       return 0;
     }
 
-    if (args.command == "check") {
+    if (command == "check") {
       // Every built-in kernel at its padded contract shape.
       const auto round_up = [](std::size_t v, std::size_t to) {
         return std::max(to, (v + to - 1) / to * to);
@@ -644,15 +461,15 @@ int main(int argc, char** argv) {
         std::string name;
         sass::Program prog;
       };
-      const GemmShape wmma_shape{round_up(args.m, 16), round_up(args.n, 128),
-                                 round_up(args.k, 16)};
+      const GemmShape s = gemm_shape();
+      const GemmShape wmma_shape{round_up(s.m, 16), round_up(s.n, 128), round_up(s.k, 16)};
+      const auto optimized = core::HgemmConfig::optimized();
+      const auto cublas = core::HgemmConfig::cublas_like();
       std::vector<Target> targets;
-      targets.push_back({"hgemm_optimized",
-                         core::hgemm_kernel(core::HgemmConfig::optimized(),
-                                            contract_shape(args, core::HgemmConfig::optimized()))});
-      targets.push_back({"hgemm_cublas_like",
-                         core::hgemm_kernel(core::HgemmConfig::cublas_like(),
-                                            contract_shape(args, core::HgemmConfig::cublas_like()))});
+      targets.push_back(
+          {"hgemm_optimized", core::hgemm_kernel(optimized, optimized.contract_shape(s))});
+      targets.push_back(
+          {"hgemm_cublas_like", core::hgemm_kernel(cublas, cublas.contract_shape(s))});
       targets.push_back({"wmma_naive", core::wmma_naive_kernel(wmma_shape)});
 
       int total_errors = 0;
@@ -686,19 +503,16 @@ int main(int argc, char** argv) {
       return total_errors == 0 ? 0 : 1;
     }
 
-    if (args.command == "fuzz") {
-      if (args.engine_set) {
-        TC_CHECK(args.engine == "timed" || args.engine == "jit",
-                 "fuzz --engine must be 'timed' or 'jit'");
-      }
+    if (command == "fuzz") {
+      const std::uint64_t seed = flags.number("--seed");
       check::FuzzOptions fopts;
-      fopts.numerics = args.numerics;
-      fopts.numeric_operands = args.numeric_operands;
-      const bool jit_fuzz = args.engine_set && args.engine == "jit";
+      fopts.numerics = cfg.numerics;
+      fopts.numeric_operands = flags.given("--numeric-operands");
+      const bool jit_fuzz = flags.text("--engine") == "jit";
       fopts.compare = jit_fuzz ? check::FuzzCompare::kJitVsInterpreter
                                : check::FuzzCompare::kFunctionalVsTimed;
-      const check::FuzzReport rep = check::run_fuzz(args.seed, args.programs, fopts);
-      std::cout << "fuzzed " << rep.programs << " programs (seed " << args.seed
+      const check::FuzzReport rep = check::run_fuzz(seed, flags.number<int>("--programs"), fopts);
+      std::cout << "fuzzed " << rep.programs << " programs (seed " << seed
                 << ", numerics=" << numerics::numerics_mode_name(fopts.numerics)
                 << (fopts.numeric_operands ? ", numeric operands" : "")
                 << ", engines=" << (jit_fuzz ? "jit-vs-interpreter" : "functional-vs-timed")
@@ -732,28 +546,22 @@ int main(int argc, char** argv) {
       return rep.ok() ? 0 : 1;
     }
 
-    if (args.command == "tune") {
-      if (args.engine_set) {
-        TC_CHECK(args.engine == "model" || args.engine == "device",
-                 "tune --engine must be 'model' or 'device'");
-      }
-      // A flag tune cannot apply is an error, never silently ignored.
-      TC_CHECK(!args.profile, "tune does not support --profile");
-      TC_CHECK(args.trace_out.empty(), "tune does not support --trace-out");
-      TC_CHECK(!args.check, "tune does not support --check");
-      const device::DeviceSpec spec = device::spec_by_name(args.device);
-      const tune::CacheKey ckey = tune::cache_key(spec, {args.m, args.n, args.k});
+    if (command == "tune") {
+      const device::DeviceSpec spec = device::spec_by_name(flags.text("--device"));
+      const GemmShape s = gemm_shape();
+      const std::string& cache_path = flags.text("--cache");
+      const tune::CacheKey ckey = tune::cache_key(spec, s);
       tune::TuneCache cache;
-      if (!args.cache.empty()) {
+      if (!cache_path.empty()) {
         tune::CacheLoadStats cstats;
-        cache = tune::TuneCache::load(args.cache, &cstats);
+        cache = tune::TuneCache::load(cache_path, &cstats);
         for (const auto& d : cstats.diagnostics) {
           std::cout << "cache: rejected entry — " << d << "\n";
         }
         if (const tune::CacheEntry* hit = cache.find(ckey)) {
           // Warm path: the persisted winner is served bit-for-bit; no search.
-          std::cout << "cache hit for " << ckey.str() << " (bucket of " << args.m << " x "
-                    << args.n << " x " << args.k << "): " << tune::candidate_name(hit->cfg)
+          std::cout << "cache hit for " << ckey.str() << " (bucket of " << s.m << " x " << s.n
+                    << " x " << s.k << "): " << tune::candidate_name(hit->cfg)
                     << " at " << hit->sim_cycles << " simulated cycles (engine "
                     << hit->engine << ", budget " << hit->budget << ", seed " << hit->seed
                     << ")\n";
@@ -784,21 +592,20 @@ int main(int argc, char** argv) {
       tune::TuneOptions opt;
       // With a cache, tune at the bucket's canonical shape so the stored
       // winner serves every shape that falls in the bucket.
-      opt.shape = args.cache.empty() ? GemmShape{args.m, args.n, args.k}
-                                     : tune::bucket_shape(ckey);
-      opt.budget = args.budget;
-      opt.explore = args.explore;
-      opt.seed = args.seed;
-      opt.threads = args.threads;
+      opt.shape = cache_path.empty() ? s : tune::bucket_shape(ckey);
+      opt.budget = flags.number<int>("--budget");
+      if (flags.given("--explore")) opt.explore = flags.number<int>("--explore");
+      opt.seed = flags.number("--seed");
+      opt.threads = flags.number<int>("--threads");
       // Timed-device is the tuner's default engine (the acceptance metric);
       // --engine model switches to the wave pipeline for paper-scale shapes.
-      opt.engine = args.engine_set && args.engine == "model" ? tune::Engine::kWaveModel
-                                                            : tune::Engine::kTimedDevice;
+      opt.engine = flags.text("--engine") == "model" ? tune::Engine::kWaveModel
+                                                 : tune::Engine::kTimedDevice;
       const tune::TuneResult r = tune::tune(spec, opt);
       const tune::Candidate& best = r.best();
 
-      std::cout << "tuned " << spec.name << " @ " << args.m << " x " << args.n << " x "
-                << args.k << " (engine=" << tune::engine_name(opt.engine) << ", seed "
+      std::cout << "tuned " << spec.name << " @ " << s.m << " x " << s.n << " x " << s.k
+                << " (engine=" << tune::engine_name(opt.engine) << ", seed "
                 << opt.seed << "): " << r.prune.raw << " raw -> " << r.prune.legal
                 << " legal -> " << r.prune.evaluated << " evaluated\n"
                 << "pruned: " << r.prune.tiling << " tiling, " << r.prune.generator
@@ -806,9 +613,10 @@ int main(int argc, char** argv) {
                 << " resources, " << r.prune.launch_order << " launch_order\n";
       TablePrinter t({"config", "regs", "CTAs/SM", "model rank", "model cycles", "sim cycles",
                       "TFLOPS"});
+      const int top = flags.number<int>("--top");
       int shown = 0;
       for (const auto& c : r.ranked) {
-        if (!c.evaluated || shown++ >= args.top) continue;
+        if (!c.evaluated || shown++ >= top) continue;
         t.add_row({c.name + (c.explored ? " *" : ""), std::to_string(c.regs),
                    std::to_string(c.occ.ctas_per_sm), std::to_string(c.model_rank),
                    fmt_fixed(c.model.cycles, 0), std::to_string(c.sim_cycles),
@@ -822,7 +630,7 @@ int main(int argc, char** argv) {
                 << "model-vs-simulated rank inversion rate: "
                 << fmt_fixed(tune::rank_inversion_rate(r), 3) << "\n";
 
-      if (!args.cache.empty()) {
+      if (!cache_path.empty()) {
         tune::CacheEntry e;
         e.key = ckey;
         e.cfg = best.cfg;
@@ -831,15 +639,15 @@ int main(int argc, char** argv) {
         e.seed = opt.seed;
         e.engine = tune::engine_name(opt.engine);
         cache.insert(std::move(e));
-        cache.save(args.cache);
-        std::cout << "cache: stored winner for " << ckey.str() << " in " << args.cache << "\n";
+        cache.save(cache_path);
+        std::cout << "cache: stored winner for " << ckey.str() << " in " << cache_path << "\n";
       }
 
       if (json) {
         json->key("tune");
         json->begin_object();
         json->field("engine", tune::engine_name(opt.engine));
-        if (!args.cache.empty()) {
+        if (!cache_path.empty()) {
           json->key("cache");
           json->begin_object();
           json->field("hit", false);
@@ -893,18 +701,18 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (args.command == "numerics") {
+    if (command == "numerics") {
       // Error-vs-shape curves: m x n fixed, k doubling from 64 up to --k,
       // fresh seeded inputs per point, all three semantics against the
       // double-precision oracle. Reproduces the related-work observation
       // that FP16 accumulation degrades with k while FP32 stays flat.
       numerics::CurveOptions copts;
-      copts.m = args.m;
-      copts.n = args.n;
-      copts.seed = args.seed;
+      copts.m = flags.number("--m");
+      copts.n = flags.number("--n");
+      copts.seed = flags.number("--seed");
       copts.ks.clear();
-      for (std::size_t kk = 64; kk <= args.k; kk *= 2) copts.ks.push_back(kk);
-      TC_CHECK(!copts.ks.empty(), "numerics needs --k >= 64");
+      const std::uint64_t k_max = flags.number("--k");
+      for (std::size_t kk = 64; kk <= k_max; kk *= 2) copts.ks.push_back(kk);
       const std::vector<numerics::ErrorPoint> points = numerics::error_curves(copts);
 
       const auto sci = [](double v) {
@@ -953,41 +761,45 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (args.command == "op") {
+    if (command == "op") {
+      const GemmShape s = gemm_shape();
+      const double alpha = flags.number<double>("--alpha");
+      const double beta = flags.number<double>("--beta");
+      const std::string& act = flags.text("--act");
       op::GemmOp gemm;
-      gemm.shape = {args.m, args.n, args.k};
-      gemm.batch.count = args.batch;
-      gemm.split_k = args.split_k;
-      gemm.epilogue.alpha = static_cast<float>(args.alpha);
-      gemm.epilogue.beta = static_cast<float>(args.beta);
-      gemm.epilogue.bias = args.bias;
-      gemm.epilogue.act = args.act == "relu"   ? core::Activation::kRelu
-                          : args.act == "gelu" ? core::Activation::kGelu
-                                               : core::Activation::kNone;
+      gemm.shape = s;
+      gemm.batch.count = flags.number<int>("--batch");
+      gemm.split_k = flags.number<int>("--split-k");
+      gemm.epilogue.alpha = static_cast<float>(alpha);
+      gemm.epilogue.beta = static_cast<float>(beta);
+      gemm.epilogue.bias = flags.given("--bias");
+      gemm.epilogue.act = act == "relu"   ? core::Activation::kRelu
+                          : act == "gelu" ? core::Activation::kGelu
+                                          : core::Activation::kNone;
       const op::OpPlan plan = op::lower(gemm, cfg);
 
-      const auto batch = static_cast<std::size_t>(args.batch);
-      Rng rng(args.seed);
-      std::vector<half> a(batch * args.m * args.k);
-      std::vector<half> bt(batch * args.n * args.k);
-      std::vector<half> c_in(batch * args.m * args.n);
-      std::vector<half> bias(args.n);
+      const auto batch = static_cast<std::size_t>(gemm.batch.count);
+      Rng rng(flags.number("--seed"));
+      std::vector<half> a(batch * s.m * s.k);
+      std::vector<half> bt(batch * s.n * s.k);
+      std::vector<half> c_in(batch * s.m * s.n);
+      std::vector<half> bias(s.n);
       for (auto& v : a) v = rng.next_half(-0.5f, 0.5f);
       for (auto& v : bt) v = rng.next_half(-0.5f, 0.5f);
       for (auto& v : c_in) v = rng.next_half(-0.5f, 0.5f);
       for (auto& v : bias) v = rng.next_half(-0.5f, 0.5f);
       op::OpInputs in{a, bt, c_in, bias};
 
-      driver::Device dev(device::spec_by_name(args.device));
+      driver::Device dev(device::spec_by_name(flags.text("--device")));
       const std::vector<half> out = op::run_gemm_op(dev, gemm, in, cfg);
 
       const auto role_name = [](op::LaunchRole r) {
         return r == op::LaunchRole::kMain ? "main" : "reduce";
       };
-      std::cout << "op on " << dev.spec().name << ": " << args.batch << " x (" << args.m
-                << " x " << args.n << " x " << args.k << "), split_k " << args.split_k
-                << ", epilogue alpha " << args.alpha << " beta " << args.beta
-                << (args.bias ? " +bias" : "") << " act " << args.act << " -> "
+      std::cout << "op on " << dev.spec().name << ": " << gemm.batch.count << " x (" << s.m
+                << " x " << s.n << " x " << s.k << "), split_k " << gemm.split_k
+                << ", epilogue alpha " << alpha << " beta " << beta
+                << (gemm.epilogue.bias ? " +bias" : "") << " act " << act << " -> "
                 << plan.launches.size() << " launch(es), "
                 << (plan.fused ? "fused epilogue" : "separate reduce/epilogue pass")
                 << ", workspace " << plan.workspace_elems << " halves\n";
@@ -999,7 +811,7 @@ int main(int argc, char** argv) {
 
       int rc = 0;
       std::size_t mismatches = 0;
-      if (args.check) {
+      if (flags.given("--check")) {
         const std::vector<half> ref = op::gemm_op_ref(gemm, in, cfg, cfg.numerics);
         for (std::size_t i = 0; i < out.size(); ++i) {
           mismatches += out[i].bits() != ref[i].bits() ? 1 : 0;
@@ -1011,12 +823,12 @@ int main(int argc, char** argv) {
       if (json) {
         json->key("op");
         json->begin_object();
-        json->field("batch", static_cast<std::uint64_t>(args.batch));
-        json->field("split_k", static_cast<std::uint64_t>(args.split_k));
-        json->field("alpha", args.alpha);
-        json->field("beta", args.beta);
-        json->field("bias", args.bias);
-        json->field("act", args.act);
+        json->field("batch", static_cast<std::uint64_t>(gemm.batch.count));
+        json->field("split_k", static_cast<std::uint64_t>(gemm.split_k));
+        json->field("alpha", alpha);
+        json->field("beta", beta);
+        json->field("bias", gemm.epilogue.bias);
+        json->field("act", act);
         json->field("fused", plan.fused);
         json->field("workspace_elems", static_cast<std::uint64_t>(plan.workspace_elems));
         json->key("launches");
@@ -1032,7 +844,7 @@ int main(int argc, char** argv) {
           json->end_object();
         }
         json->end_array();
-        if (args.check) {
+        if (flags.given("--check")) {
           json->field("numerics", numerics::numerics_mode_name(cfg.numerics));
           json->field("mismatches", static_cast<std::uint64_t>(mismatches));
         }
@@ -1042,26 +854,19 @@ int main(int argc, char** argv) {
       return rc;
     }
 
-    if (args.command == "serve") {
-      // A flag serve cannot apply is an error, never silently ignored.
-      // Passes always cost on the timed device, so it has no --engine.
-      TC_CHECK(!args.engine_set, "serve does not support --engine");
-      TC_CHECK(!args.profile, "serve does not support --profile");
-      TC_CHECK(args.trace_out.empty(), "serve does not support --trace-out");
-      TC_CHECK(!args.top_set, "serve does not support --top");
-      TC_CHECK(!args.check, "serve does not support --check");
-      const device::DeviceSpec spec = device::spec_by_name(args.device);
+    if (command == "serve") {
+      const device::DeviceSpec spec = device::spec_by_name(flags.text("--device"));
       serve::ServerOptions sopt;
       sopt.spec = spec;
-      sopt.workers = args.workers;
-      sopt.threads = args.threads;
-      sopt.tune_budget = args.budget;
-      sopt.cache_path = args.cache;
+      sopt.workers = flags.number<int>("--workers");
+      sopt.threads = flags.number<int>("--threads");
+      sopt.tune_budget = flags.number<int>("--budget");
+      sopt.cache_path = flags.text("--cache");
 
       serve::TrafficOptions topt;
-      topt.requests = args.requests;
-      topt.tenants = args.tenants;
-      topt.seed = args.seed;
+      topt.requests = flags.number<int>("--requests");
+      topt.tenants = flags.number<int>("--tenants");
+      topt.seed = flags.number("--seed");
       const std::vector<serve::Request> traffic = serve::llm_traffic(topt);
 
       serve::Server server(sopt);
@@ -1072,8 +877,8 @@ int main(int argc, char** argv) {
       const auto& c = m.counters;
 
       std::cout << "served " << c.completed << "/" << c.requests << " requests (" << c.shed
-                << " shed) on " << spec.name << " with " << args.workers
-                << " workers (seed " << args.seed << ")\n"
+                << " shed) on " << spec.name << " with " << sopt.workers
+                << " workers (seed " << topt.seed << ")\n"
                 << "  batches: " << c.batches << " (" << fmt_fixed(
                        c.batches > 0 ? static_cast<double>(c.batched_requests) /
                                            static_cast<double>(c.batches)
@@ -1096,8 +901,9 @@ int main(int argc, char** argv) {
                    fmt_fixed(ts.p50_cycles, 0), fmt_fixed(ts.p99_cycles, 0)});
       }
       t.print(std::cout);
-      if (!args.cache.empty()) {
-        std::cout << "cache: " << server.cache().size() << " entries in " << args.cache << "\n";
+      if (!sopt.cache_path.empty()) {
+        std::cout << "cache: " << server.cache().size() << " entries in " << sopt.cache_path
+                  << "\n";
       }
 
       if (json) {
@@ -1108,7 +914,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    TC_ASSERT(false, "unhandled command " + args.command);
+    TC_ASSERT(false, "unhandled command " + command);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

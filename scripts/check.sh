@@ -5,6 +5,9 @@
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 only, skip the sanitizer build
+#
+# CI's gates are this script: the tier1 job runs --fast (then builds and
+# smoke-tests bench/host_perf), the sanitizers job runs all of it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

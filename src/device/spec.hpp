@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace tc::device {
 
@@ -95,5 +96,8 @@ struct DeviceSpec {
 
 /// Looks up a spec by name ("rtx2070" or "t4"); throws on unknown name.
 [[nodiscard]] DeviceSpec spec_by_name(const std::string& name);
+
+/// Every name spec_by_name() accepts, "rtx2070" first: the --device choices.
+inline const std::vector<std::string> kSpecNames = {"rtx2070", "t4", "RTX2070", "T4"};
 
 }  // namespace tc::device

@@ -324,7 +324,7 @@ OpTiming time_gemm_op(const device::DeviceSpec& spec, const OpPlan& plan,
     sim::TimedDeviceConfig dc;
     dc.spec = spec;
     dc.ctas_per_sm = occ.ctas_per_sm;
-    dc.skip_mma_math = opts.skip_mma_math;
+    dc.skip_mma_math = true;
     dc.forced_l2_hit_rate =
         planned.role == LaunchRole::kMain ? opts.forced_l2_hit_rate : -1.0;
     sim::TimedDevice dev(dc, gmem);

@@ -179,7 +179,6 @@ void gemm_op_ref(const GemmOp& gemm, const OpInputs& in, std::span<half> out,
                                                 numerics::NumericsMode::kIdealized);
 
 struct TimedOpOptions {
-  bool skip_mma_math = true;
   /// Forced L2 hit rate for the *main* pass (tune's reuse-model input);
   /// negative = emergent. The reduce pass always runs emergent — each
   /// launch starts with a cold L2 (conservative: no inter-kernel reuse).
@@ -187,9 +186,10 @@ struct TimedOpOptions {
 };
 
 /// Runs every launch of the plan in order on the cycle-level device model
-/// (own GlobalMemory, zero-filled operand buffers — contents are irrelevant
-/// for timing), hard-gating each program through sass::validate +
-/// check::find_hazards. Per-launch occupancy comes from device::occupancy.
+/// (own GlobalMemory, zero-filled operand buffers, MMA math skipped —
+/// contents are irrelevant for timing), hard-gating each program through
+/// sass::validate + check::find_hazards. Per-launch occupancy comes from
+/// device::occupancy.
 [[nodiscard]] OpTiming time_gemm_op(const device::DeviceSpec& spec, const OpPlan& plan,
                                     const TimedOpOptions& opts = {});
 

@@ -109,7 +109,6 @@ Server::PassCost Server::pass_cost(const core::HgemmConfig& cfg, const tune::Cac
   // outside the virtual busy window, exactly as before.
   const device::Occupancy occ = device::occupancy(opt_.spec, plan.launches.front().program);
   op::TimedOpOptions topt;
-  topt.skip_mma_math = true;
   topt.forced_l2_hit_rate = tune::predicted_l2_hit_rate(opt_.spec, plan.cfg, occ, s);
   const op::OpTiming t = op::time_gemm_op(opt_.spec, plan, topt);
   const std::uint64_t cycles = t.total_extra_overhead(opt_.spec.launch_overhead_cycles);

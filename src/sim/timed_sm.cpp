@@ -206,8 +206,7 @@ struct TimedSm::Impl {
     double l1_bytes = 0.0;
     double l2_bytes = 0.0;
     double dram_bytes = 0.0;
-    const bool use_l1 = cfg.model_l1 && op.access.cache == sass::CacheOp::kCa &&
-                        !op.access.is_store;
+    const bool use_l1 = op.access.cache == sass::CacheOp::kCa && !op.access.is_store;
     if (op.access.is_store) {
       int active_lanes = 0;
       for (bool a : op.access.active) active_lanes += a ? 1 : 0;

@@ -153,9 +153,6 @@ struct TimedConfig {
   /// reuse analytically (a single simulated SM cannot observe it).
   double forced_l2_hit_rate = -1.0;
 
-  /// Disable the L1 tag array (every .CA load probes L2 directly).
-  bool model_l1 = true;
-
   /// Skip the FP16 arithmetic of MMA instructions (pipe occupancy, latency
   /// and writeback scheduling are unchanged). Register values become
   /// meaningless, so this is only for pure timing measurements — kernels

@@ -22,9 +22,7 @@ double measured_dram_gbps(const device::DeviceSpec& spec) {
   launch.grid_x = 2;
   launch.params = {clocks.addr, data.addr};
   const sim::CtaCoord ctas[2] = {{0, 0}, {1, 0}};
-  auto cfg = dev.timing_sm_share();
-  cfg.model_l1 = false;
-  const auto stats = dev.run_timed(launch, std::span(ctas, 2), cfg);
+  const auto stats = dev.run_timed(launch, std::span(ctas, 2), dev.timing_sm_share());
   return stats.dram_bytes / static_cast<double>(stats.cycles) * spec.num_sms *
          spec.sm_clock_ghz;
 }

@@ -9,9 +9,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/json_parse.hpp"
 
@@ -52,6 +54,40 @@ int run_cli_status(const std::string& args, std::string& err) {
   err = read_file(err_path);
   std::filesystem::remove(err_path);
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// The flags the usage text lists for `command`: the "[--flag" words of its
+/// block, which runs to the next line that names a command.
+std::set<std::string> usage_flags(const std::string& command) {
+  const auto out = std::filesystem::temp_directory_path() / "tc_cli_usage.txt";
+  const std::string cmd = std::string(TC_CLI_BIN) + " > " + out.string();
+  EXPECT_NE(std::system(cmd.c_str()), 0) << "usage exits 2";
+  const std::string text = read_file(out);
+  std::filesystem::remove(out);
+  const auto begin = text.find("\n  " + command + " ");
+  EXPECT_NE(begin, std::string::npos) << command << " is missing from the usage text";
+  if (begin == std::string::npos) return {};
+  auto end = begin;
+  while ((end = text.find("\n  ", end + 1)) != std::string::npos && text[end + 3] == ' ') {
+  }
+  std::set<std::string> flags;
+  std::istringstream block(text.substr(begin, end - begin));
+  for (std::string word; block >> word;) {
+    if (word.rfind("[--", 0) != 0) continue;
+    if (word.back() == ']') word.pop_back();
+    flags.insert(word.substr(1));
+  }
+  return flags;
+}
+
+/// The "--flag" words of a command line.
+std::set<std::string> flags_of(const std::string& args) {
+  std::set<std::string> flags;
+  std::istringstream words(args);
+  for (std::string word; words >> word;) {
+    if (word.rfind("--", 0) == 0) flags.insert(word);
+  }
+  return flags;
 }
 
 /// The tc-cli-v1 header every command writes before its payload.
@@ -308,8 +344,7 @@ TEST(CliContract, FuzzDefaultEnginePairJson) {
 }
 
 TEST(CliContract, EngineValidationIsPerCommand) {
-  // --engine takes the union of the per-command vocabularies; each command
-  // must still reject values that are not meaningful for it.
+  // Each command's --engine takes its own choices and rejects the others'.
   const auto fails = [](const std::string& args) {
     const std::string cmd =
         std::string(TC_CLI_BIN) + " " + args + " > /dev/null 2>&1";
@@ -325,7 +360,7 @@ TEST(CliContract, EngineValidationIsPerCommand) {
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --engine device --top 5"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --trace-out t.json"));
   EXPECT_TRUE(fails("perf --m 256 --n 256 --k 64 --top 5"));
-  // serve and tune reject the flags they cannot apply, and name each one.
+  // serve and tune reject the flags outside their tables, and name each one.
   for (const auto& [args, flag] :
        {std::pair{"serve --requests 2 --engine jit", "--engine"},
         std::pair{"serve --requests 2 --profile", "--profile"},
@@ -390,6 +425,117 @@ TEST(CliContract, RunBitAccurateCheckJson) {
   expect_header(doc, "run");
   EXPECT_EQ(doc.at("numerics").as_string(), "bitaccurate");
   EXPECT_EQ(doc.at("mismatches").as_number(), 0.0);
+}
+
+TEST(CliContract, EveryCommandTakesEveryFlagOfItsTable) {
+  // One invocation per command passes every flag a command reads, so a flag
+  // the table dropped fails here; together they pass every flag the usage
+  // text lists for the command, so the table lists nothing the command
+  // cannot take. perf needs one invocation per engine.
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string trace = (tmp / "tc_cli_accept_trace.json").string();
+  const std::string tune_cache = (tmp / "tc_cli_accept_tune_cache.json").string();
+  const std::string serve_cache = (tmp / "tc_cli_accept_serve_cache.json").string();
+  const std::vector<std::pair<std::string, std::vector<std::string>>> matrix = {
+      {"run",
+       {"run --m 64 --n 64 --k 64 --device t4 --check --baseline --engine jit "
+        "--numerics bitaccurate"}},
+      {"perf",
+       {"perf --m 256 --n 256 --k 64 --device t4 --baseline --engine model --profile --top 3 "
+        "--trace-out " + trace,
+        "perf --m 256 --n 256 --k 64 --engine device"}},
+      {"lint", {"lint --m 256 --n 256 --k 64 --baseline"}},
+      {"schedule", {"schedule --m 256 --n 256 --k 64 --baseline --wmma --device t4"}},
+      {"disasm", {"disasm --m 256 --n 256 --k 64 --baseline"}},
+      {"check", {"check --m 256 --n 256 --k 64"}},
+      {"fuzz",
+       {"fuzz --programs 2 --seed 3 --numerics bitaccurate --numeric-operands --engine jit"}},
+      {"numerics", {"numerics --m 16 --n 16 --k 128 --seed 2"}},
+      {"tune",
+       {"tune --m 128 --n 128 --k 64 --device t4 --budget 1 --explore 0 --seed 2 --threads 1 "
+        "--engine model --top 1 --cache " + tune_cache}},
+      {"serve",
+       {"serve --requests 2 --tenants 1 --workers 1 --device t4 --cache " + serve_cache +
+        " --seed 2 --budget 1 --threads 1"}},
+      {"op",
+       {"op --m 64 --n 64 --k 128 --batch 2 --split-k 2 --alpha 1.5 --beta 0.5 --bias "
+        "--act relu --device t4 --check --baseline --numerics bitaccurate --seed 4"}},
+  };
+  ASSERT_EQ(matrix.size(), 11u);
+  for (const auto& [command, invocations] : matrix) {
+    std::set<std::string> passed = {"--json"};
+    for (const std::string& args : invocations) {
+      expect_header(run_cli(args), command);
+      passed.merge(flags_of(args));
+    }
+    EXPECT_EQ(passed, usage_flags(command)) << command;
+  }
+  for (const auto& path : {trace, tune_cache, serve_cache}) std::filesystem::remove(path);
+}
+
+TEST(CliContract, EveryCommandRejectsFlagsOutsideItsTable) {
+  // A flag a command does not take exits 1, naming the command and the
+  // flag, before --json opens its file, even when --json comes first.
+  const auto out = std::filesystem::temp_directory_path() / "tc_cli_reject.json";
+  for (const auto& [command, flag] :
+       {std::pair{"lint", "--device t4"}, std::pair{"op", "--engine jit"},
+        std::pair{"perf", "--numerics bitaccurate"}, std::pair{"fuzz", "--m 64"},
+        std::pair{"disasm", "--check"}, std::pair{"check", "--baseline"},
+        std::pair{"numerics", "--device t4"}, std::pair{"run", "--seed 3"},
+        std::pair{"schedule", "--numerics bitaccurate"}, std::pair{"serve", "--top 3"},
+        std::pair{"tune", "--check"}}) {
+    std::filesystem::remove(out);
+    const std::string args =
+        std::string(command) + " --json " + out.string() + " " + flag;
+    const std::string name = std::string(flag).substr(0, std::string(flag).find(' '));
+    std::string err;
+    EXPECT_EQ(run_cli_status(args, err), 1) << args;
+    EXPECT_NE(err.find(std::string(command) + " does not take " + name), std::string::npos)
+        << args << ": " << err;
+    EXPECT_FALSE(std::filesystem::exists(out)) << args;
+  }
+  std::filesystem::remove(out);
+}
+
+TEST(CliContract, BadValuesOpenNoJson) {
+  // An out-of-range value, an unknown choice and a perf flag its other
+  // flags rule out all exit 1 at parse time, naming the flag and the value,
+  // and leave no --json file behind.
+  const auto out = std::filesystem::temp_directory_path() / "tc_cli_bad_value.json";
+  struct Case {
+    const char* args;
+    const char* names;
+  };
+  for (const Case& c :
+       {Case{"run --device bogus", "--device takes one of rtx2070|t4"},
+        Case{"numerics --k 32", "--k takes an integer in [64, "},
+        Case{"op --act tanh", "'tanh'"}, Case{"fuzz --engine model", "'model'"},
+        Case{"tune --engine jit", "'jit'"},
+        Case{"perf --engine device --profile", "perf --engine device does not take --profile"},
+        Case{"perf --engine device --top 3", "perf --engine device does not take --top"},
+        Case{"perf --trace-out t.json", "perf --trace-out needs --profile"},
+        Case{"serve --threads 0", "--threads takes an integer in [1, "}}) {
+    std::filesystem::remove(out);
+    const std::string args = std::string(c.args) + " --json " + out.string();
+    std::string err;
+    EXPECT_EQ(run_cli_status(args, err), 1) << args;
+    EXPECT_NE(err.find(c.names), std::string::npos) << args << ": " << err;
+    EXPECT_FALSE(std::filesystem::exists(out)) << args;
+  }
+  std::filesystem::remove(out);
+}
+
+TEST(CliContract, EachCommandKeepsItsOwnShapeDefaults) {
+  // A command's table holds one default per flag: tune --m alone keeps
+  // tune's n and k, and numerics --m alone keeps numerics' n and k.
+  const JsonValue tune = run_cli("tune --m 100 --budget 1 --engine model");
+  EXPECT_EQ(tune.at("m").as_number(), 100.0);
+  EXPECT_EQ(tune.at("n").as_number(), 256.0);
+  EXPECT_EQ(tune.at("k").as_number(), 64.0);
+  const JsonValue numerics = run_cli("numerics --m 32 --k 64");
+  EXPECT_EQ(numerics.at("m").as_number(), 32.0);
+  EXPECT_EQ(numerics.at("n").as_number(), 64.0);
+  EXPECT_EQ(numerics.at("k").as_number(), 64.0);
 }
 
 }  // namespace

@@ -4,8 +4,12 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "bench_common.hpp"
 #include "common/error.hpp"
+#include "common/flags.hpp"
 #include "common/json.hpp"
 #include "common/json_parse.hpp"
 #include "common/matrix.hpp"
@@ -193,6 +197,69 @@ TEST(JsonWriter, MisuseTripsCheck) {
   EXPECT_THROW(j.key("k2"), Error);      // key after key
   EXPECT_THROW(j.end_object(), Error);   // dangling key
   EXPECT_FALSE(j.complete());
+}
+
+/// The error `Flags` throws for `args` against `table`; empty if they parse.
+std::string flag_error(const std::vector<Flag>& table, std::vector<const char*> args) {
+  try {
+    (void)Flags("cmd", table, static_cast<int>(args.size()), args.data(), 0);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Flags, BenchStepRejectsZeroBeforeAnySweep) {
+  // size_sweep's loop never ends at step 0; the range check rejects it.
+  const std::vector<Flag> table = {bench::step_flag(1024)};
+  EXPECT_EQ(flag_error(table, {"--step", "0"}),
+            "--step takes an integer in [1, 1048576], got '0'");
+  EXPECT_EQ(flag_error(table, {"--step", "1048577"}),
+            "--step takes an integer in [1, 1048576], got '1048577'");
+  EXPECT_EQ(flag_error(table, {"--step", "1"}), "");
+}
+
+TEST(Flags, TableGivesDefaultsAndRejectsEverythingElse) {
+  const std::vector<Flag> table = {
+      Flag::toggle("--check"),          Flag::integer("--n", 1, 8, "4"),
+      Flag::integer("--explore", 0, 8), Flag::real("--alpha", "1"),
+      Flag::choice("--act", {"none", "relu"}), Flag::path("--json")};
+
+  const char* bare[] = {"prog"};
+  const Flags d("cmd", table, 1, bare);
+  EXPECT_FALSE(d.given("--check"));
+  EXPECT_FALSE(d.given("--n"));
+  EXPECT_EQ(d.number("--n"), 4u);
+  EXPECT_EQ(d.number<double>("--alpha"), 1.0);
+  EXPECT_EQ(d.text("--act"), "none");
+  EXPECT_EQ(d.text("--explore"), "");
+  EXPECT_EQ(d.text("--json"), "");
+  EXPECT_TRUE(d.takes("--json"));
+  EXPECT_FALSE(d.takes("--seed"));
+  EXPECT_FALSE(d.given("--seed"));
+  EXPECT_THROW((void)d.text("--seed"), Error);  // reading outside the table is a bug
+
+  const char* args[] = {"prog",  "--check", "--n",   "8",    "--alpha",
+                        "-2.5", "--act",   "relu", "--json", "out.json"};
+  const Flags g("cmd", table, 10, args);
+  EXPECT_TRUE(g.given("--check"));
+  EXPECT_TRUE(g.given("--n"));
+  EXPECT_EQ(g.number<int>("--n"), 8);
+  EXPECT_EQ(g.number<double>("--alpha"), -2.5);
+  EXPECT_EQ(g.text("--act"), "relu");
+  EXPECT_EQ(g.text("--json"), "out.json");
+
+  EXPECT_EQ(flag_error(table, {"--seed", "3"}), "cmd does not take --seed");
+  EXPECT_EQ(flag_error(table, {"--n"}), "flag --n needs a value");
+  EXPECT_EQ(flag_error(table, {"--n", "9"}), "--n takes an integer in [1, 8], got '9'");
+  EXPECT_EQ(flag_error(table, {"--n", "-1"}), "--n takes an integer in [1, 8], got '-1'");
+  EXPECT_EQ(flag_error(table, {"--alpha", "inf"}), "--alpha takes a finite number, got 'inf'");
+  EXPECT_EQ(flag_error(table, {"--act", "gelu"}), "--act takes one of none|relu, got 'gelu'");
+
+  EXPECT_EQ(flags_usage(table, 2, 40),
+            "  [--check] [--n 4] [--explore N]\n"
+            "  [--alpha 1] [--act none|relu]\n"
+            "  [--json PATH]\n");
 }
 
 }  // namespace

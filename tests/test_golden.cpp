@@ -27,6 +27,7 @@
 //
 // and explain the delta in the commit message.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
 #include <cstdlib>
@@ -62,6 +63,18 @@ JsonValue run_bench_json(const std::string& bench, const std::string& args = "")
   const auto doc = json_parse(read_file(out));
   std::filesystem::remove(out);
   return doc;
+}
+
+/// Exit code of `<TC_BENCH_DIR>/<bench> <args>`, with stdout discarded and
+/// stderr kept in `err`.
+int run_bench_status(const std::string& bench, const std::string& args, std::string& err) {
+  const auto err_path = std::filesystem::temp_directory_path() / ("tc_golden_" + bench + ".err");
+  const std::string cmd = std::string(TC_BENCH_DIR) + "/" + bench + " " + args +
+                          " > /dev/null 2> " + err_path.string();
+  const int rc = std::system(cmd.c_str());
+  err = read_file(err_path);
+  std::filesystem::remove(err_path);
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
 JsonValue load_golden(const std::string& bench) {
@@ -204,6 +217,31 @@ TEST(Golden, JitThroughputRtx2070) {
 }
 
 TEST(Golden, JitThroughputT4) { expect_jit_throughput("jit_throughput_t4", "t4"); }
+
+// The benches read their flags through the same table-driven parser as
+// tcgemm_cli: junk, a partial number, an unknown choice, a flag outside the
+// bench's table and a missing value each exit 1 with an error naming the
+// flag and the value, before any work.
+TEST(Golden, BenchFlagsNameTheBadValue) {
+  struct Case {
+    const char* bench;
+    const char* args;
+    std::string names;
+  };
+  const std::string step = "--step takes an integer in [1, 1048576], got ";
+  for (const Case& c :
+       {Case{"fig6_square_rtx2070", "--step abc", step + "'abc'"},
+        Case{"fig6_square_rtx2070", "--step 12abc", step + "'12abc'"},
+        Case{"batched_splitk", "--device bogus",
+             "--device takes one of rtx2070|t4|RTX2070|T4, got 'bogus'"},
+        Case{"fig6_square_rtx2070", "--device t4", "fig6_square_rtx2070 does not take --device"},
+        Case{"table6_blocking", "--step 8", "table6_blocking does not take --step"},
+        Case{"table6_blocking", "--json", "--json needs a value"}}) {
+    std::string err;
+    EXPECT_EQ(run_bench_status(c.bench, c.args, err), 1) << c.bench << " " << c.args;
+    EXPECT_NE(err.find(c.names), std::string::npos) << c.bench << " " << c.args << ": " << err;
+  }
+}
 
 // The parser itself: golden comparisons are only as trustworthy as the
 // reader, so pin its behavior on the writer's own corner cases.
