@@ -82,10 +82,19 @@ class BenchJson {
     os << "\n";
   }
 
+  /// Writes the document to `path`. A path that cannot be written prints an
+  /// error naming it and exits 1, as a bad flag does (parse_flags).
   void write_file(const std::string& path) const {
     std::ofstream os(path);
-    TC_CHECK(os.good(), "cannot open " + path + " for writing");
+    if (!os) {
+      std::cerr << "error: cannot open " << path << " for writing\n";
+      std::exit(1);
+    }
     write(os);
+    if (!os.flush()) {
+      std::cerr << "error: cannot write " << path << "\n";
+      std::exit(1);
+    }
   }
 
  private:

@@ -93,7 +93,8 @@ const std::vector<Command>& commands() {
          {count("--requests", "120", 0), count("--tenants", "2", 1), count("--workers", "2", 1),
           spec, cache, seed, budget, threads, json}},
         {"op", "lower, run and check a batched/split-K/epilogue GemmOp (docs/ops.md)",
-         {m, n, k, count("--batch", "1", 1), count("--split-k", "1", 1),
+         {m, n, k, count("--batch", "1", 1),
+          Flag::choice("--split-k", {"1", "2", "4", "8", "16", "32", "64"}),
           Flag::real("--alpha", "1"), Flag::real("--beta", "0"), Flag::toggle("--bias"),
           Flag::choice("--act", {"none", "relu", "gelu"}), spec, check, baseline, mode, seed,
           json}},
@@ -769,7 +770,7 @@ int main(int argc, char** argv) {
       op::GemmOp gemm;
       gemm.shape = s;
       gemm.batch.count = flags.number<int>("--batch");
-      gemm.split_k = flags.number<int>("--split-k");
+      gemm.split_k = std::stoi(flags.text("--split-k"));
       gemm.epilogue.alpha = static_cast<float>(alpha);
       gemm.epilogue.beta = static_cast<float>(beta);
       gemm.epilogue.bias = flags.given("--bias");

@@ -71,6 +71,11 @@ echo "== numerics gate: HMMA conformance suite + executor-vs-engine check =="
 # bitwise match). The CLI passes then drive the executor against the engine
 # in bit-accurate mode and emit the error-vs-k curves end to end.
 ctest --test-dir build --output-on-failure -L "numerics_smoke" -j "$JOBS"
+# The idealized sum is one emitted copy (docs/numerics.md): a clone such as
+# GCC's constant-propagated `idealized_sum [clone .constprop.0]` may return
+# other NaN payloads than the original.
+[[ "$(nm -C build/src/numerics/libtc_numerics.a | grep -c idealized_sum)" == 1 ]] ||
+  { echo "idealized_sum is not exactly one emitted copy"; exit 1; }
 ./build/examples/tcgemm_cli run --m 64 --n 64 --k 64 --numerics bitaccurate --check >/dev/null
 ./build/examples/tcgemm_cli numerics --k 256 >/dev/null
 

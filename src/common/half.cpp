@@ -6,35 +6,6 @@
 
 namespace tc {
 
-float half::to_float() const {
-  const std::uint32_t sign = static_cast<std::uint32_t>(bits_ >> 15) & 1u;
-  const std::uint32_t exp = static_cast<std::uint32_t>(bits_ >> 10) & 0x1Fu;
-  const std::uint32_t man = bits_ & 0x3FFu;
-
-  std::uint32_t out;
-  if (exp == 0) {
-    if (man == 0) {
-      out = sign << 31;  // signed zero
-    } else {
-      // Subnormal: normalize into the float domain.
-      int e = -1;
-      std::uint32_t m = man;
-      do {
-        ++e;
-        m <<= 1;
-      } while ((m & 0x400u) == 0);
-      const std::uint32_t fexp = static_cast<std::uint32_t>(127 - 15 - e);
-      const std::uint32_t fman = (m & 0x3FFu) << 13;
-      out = (sign << 31) | (fexp << 23) | fman;
-    }
-  } else if (exp == 0x1F) {
-    out = (sign << 31) | 0x7F800000u | (man << 13);  // inf / NaN
-  } else {
-    out = (sign << 31) | ((exp - 15 + 127) << 23) | (man << 13);
-  }
-  return std::bit_cast<float>(out);
-}
-
 std::uint16_t half::from_float_bits(float f) {
   const std::uint32_t x = std::bit_cast<std::uint32_t>(f);
   const std::uint32_t sign = (x >> 16) & 0x8000u;
@@ -72,10 +43,9 @@ std::uint16_t half::from_float_bits(float f) {
 
   std::uint32_t h = (static_cast<std::uint32_t>(hexp) << 10) | (kept & 0x3FFu);
   if (hexp == 0) h = kept;  // subnormal: no exponent bits, kept includes them
-  // Round to nearest even.
-  if (round_bit && (sticky || (h & 1u))) {
-    ++h;  // may carry into the exponent, which is exactly correct behaviour
-  }
+  // Round to nearest even, without a branch on the data. The increment may
+  // carry into the exponent, which is exactly correct behaviour.
+  h += round_bit & (sticky | (h & 1u));
   if (h >= 0x7C00u) h = 0x7C00u;  // rounded up to infinity
   return static_cast<std::uint16_t>(sign | h);
 }

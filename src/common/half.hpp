@@ -8,6 +8,7 @@
 // semantics as scalar HADD/HMUL on the device.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iosfwd>
@@ -30,8 +31,27 @@ class half {
     return h;
   }
 
-  /// Exact widening conversion.
-  [[nodiscard]] float to_float() const;
+  /// Exact widening conversion. NaN payloads and signs carry over.
+  [[nodiscard]] float to_float() const {
+    const std::uint32_t sign = static_cast<std::uint32_t>(bits_ & 0x8000u) << 16;
+    const std::uint32_t exp = (bits_ >> 10) & 0x1Fu;
+    const std::uint32_t man = bits_ & 0x3FFu;
+    std::uint32_t out;
+    if (exp == 0x1F) {
+      out = sign | 0x7F800000u | (man << 13);  // inf / NaN
+    } else if (exp != 0) {
+      out = sign | ((exp - 15 + 127) << 23) | (man << 13);
+    } else if (man == 0) {
+      out = sign;  // signed zero
+    } else {
+      // Subnormal man * 2^-24 with its top bit at `top`: normal in binary32,
+      // with the bits below `top` as its fraction.
+      const int top = 31 - std::countl_zero(man);
+      out = sign | (static_cast<std::uint32_t>(top + 103) << 23) |
+            ((man << (23 - top)) & 0x7FFFFFu);
+    }
+    return std::bit_cast<float>(out);
+  }
   explicit operator float() const { return to_float(); }
 
   [[nodiscard]] constexpr std::uint16_t bits() const { return bits_; }

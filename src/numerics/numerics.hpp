@@ -20,12 +20,14 @@
 // The bit-accurate step has no floating-point arithmetic in the
 // accumulation path: every term (the incoming accumulator plus
 // `terms_per_step` exact FP16 products) is converted to a shared
-// fixed-point scale of 2^-149 and summed in a 320-bit two's-complement
-// accumulator, which represents the 5-term left-to-right fused sum exactly
-// — so the single final rounding is correct by construction. HMMA.1688
-// (k = 8) issues two sequential 4-term steps; the step boundary is the only
-// place the model rounds mid-instruction, which is what makes chunk-order
-// sensitivity and double rounding observable (tests/test_numerics.cpp).
+// fixed-point scale and summed exactly, so the single final rounding is
+// correct by construction. The F16-accumulate step sums at unit 2^-48 in one
+// 128-bit integer (nine terms stay below 2^84); the F32-accumulate step
+// sums at unit 2^-149 in a 320-bit accumulator, because a binary32
+// accumulator spans 2^-149 to 2^128. HMMA.1688 (k = 8) issues two
+// sequential 4-term steps; the step boundary is the only place the model
+// rounds mid-instruction, which is what makes chunk-order sensitivity and
+// double rounding observable (tests/test_numerics.cpp).
 //
 // The bit-accurate engine is deterministic and host-FPU-independent.
 #pragma once
@@ -73,7 +75,7 @@ struct GenerationModel {
 };
 
 /// The default model for this simulator's target generation.
-[[nodiscard]] inline GenerationModel turing_model() { return GenerationModel{}; }
+[[nodiscard]] constexpr GenerationModel turing_model() { return GenerationModel{}; }
 
 /// One FP32-accumulate fused step: c + a[0]*b[0] + ... + a[n-1]*b[n-1] with
 /// exact products, exact wide accumulation, and a single rounding to
@@ -100,5 +102,12 @@ struct GenerationModel {
                             int n = 8);
 [[nodiscard]] half dot_f16(NumericsMode mode, half c, const half* a, const half* b,
                            int n = 8);
+
+/// One 8x8x8 block of FP16-accumulate HMMA math: for every i, j in [0, 8),
+/// d[i*8 + j] = dot_f16(mode, c[i*8 + j], a + i*8, b + j*8, 8), bit for
+/// bit. The 8x8 arrays are row-major: row i of `a` is A's row i and row j of
+/// `b` is B's column j. Each A and B element is decoded once per block, not
+/// once per output element. `d` may be `c`; it must not overlap `a` or `b`.
+void dot_f16_block(NumericsMode mode, const half* c, const half* a, const half* b, half* d);
 
 }  // namespace tc::numerics

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -138,7 +140,10 @@ FunctionalStats FunctionalExecutor::run(const Launch& launch,
   std::atomic<std::uint64_t> next{0};
   std::atomic<std::uint64_t> instructions{0};
   std::atomic<std::uint64_t> hmma{0};
-  std::atomic<bool> failed{false};
+  // The failed CTA with the lowest linear index (`total` while none has) and
+  // its message. CTAs above it are skipped and those below it still run, so
+  // the reported failure is the same at every thread count.
+  std::atomic<std::uint64_t> first_failed{total};
   std::string error_msg;
   std::mutex error_mutex;
 
@@ -150,7 +155,7 @@ FunctionalStats FunctionalExecutor::run(const Launch& launch,
     pool.emplace_back([&] {
       for (;;) {
         const std::uint64_t i = next.fetch_add(1);
-        if (i >= total || failed.load()) return;
+        if (i >= total || i > first_failed.load()) return;
         const std::uint64_t plane = static_cast<std::uint64_t>(launch.grid_x) * launch.grid_y;
         const auto cz = static_cast<std::uint32_t>(i / plane);
         const auto cx = static_cast<std::uint32_t>((i % plane) % launch.grid_x);
@@ -164,14 +169,18 @@ FunctionalStats FunctionalExecutor::run(const Launch& launch,
           hmma.fetch_add(hm);
         } catch (const std::exception& e) {
           std::lock_guard lock(error_mutex);
-          if (!failed.exchange(true)) error_msg = e.what();
+          if (i < first_failed.load()) {
+            first_failed.store(i);
+            error_msg = "CTA (" + std::to_string(cx) + ", " + std::to_string(cy) + ", " +
+                        std::to_string(cz) + "): " + e.what();
+          }
           return;
         }
       }
     });
   }
   for (auto& th : pool) th.join();
-  TC_CHECK(!failed.load(), "functional execution failed: " + error_msg);
+  TC_CHECK(first_failed.load() == total, "functional execution failed in " + error_msg);
 
   return {instructions.load(), hmma.load()};
 }

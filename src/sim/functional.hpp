@@ -28,7 +28,9 @@ class FunctionalExecutor {
   explicit FunctionalExecutor(mem::GlobalMemory& gmem, int host_threads = 0);
 
   /// Runs all CTAs of `launch` to completion; throws if any warp exceeds
-  /// `max_warp_instructions` (runaway-loop guard).
+  /// `max_warp_instructions` (runaway-loop guard). When CTAs fail, the error
+  /// is that of the failed CTA with the lowest linear index and names its
+  /// (x, y, z), whatever the host thread count.
   FunctionalStats run(const Launch& launch,
                       std::uint64_t max_warp_instructions = 200'000'000);
 

@@ -29,23 +29,18 @@ Coord col_major_coord(int lane, int part) {
 
 namespace {
 
-half reg_half(const WarpRegs& regs, sass::Reg r, LanePos p) {
-  const half2 pair = half2::unpack(regs.read(r, p.lane));
-  return p.part == 0 ? pair.lo : pair.hi;
-}
-
 sass::Reg offset(sass::Reg r, int delta) {
   return sass::Reg{static_cast<std::uint8_t>(r.idx + delta)};
 }
 
-/// Packs a tile into the 32 per-lane words of one warp register.
+/// Packs a tile into the 32 per-lane words of one warp register. In
+/// row-major order a lane's high half is the element right of its low half.
 std::array<std::uint32_t, kWarpSize> pack_row_major(const Tile8x8& t) {
   std::array<std::uint32_t, kWarpSize> words{};
   for (int lane = 0; lane < kWarpSize; ++lane) {
     const Coord lo = row_major_coord(lane, 0);
-    const Coord hi = row_major_coord(lane, 1);
     words[static_cast<std::size_t>(lane)] =
-        half2{t.m[lo.row][lo.col], t.m[hi.row][hi.col]}.pack();
+        half2{t.m[lo.row][lo.col], t.m[lo.row][lo.col + 1]}.pack();
   }
   return words;
 }
@@ -70,7 +65,8 @@ void emit_words(WriteSink& sink, sass::Reg r, const std::array<std::uint32_t, kW
 // Every HMMA form gathers its operands once with k contiguous: A tiles are
 // row-major (row i = A's row i), and B, a column-major tile, read back as
 // row-major has B's column j as its row j. Each output element is then one
-// numerics::dot_* call on two 8-element rows.
+// numerics::dot_* call on two 8-element rows; the FP16 forms run each 8x8
+// group as one numerics::dot_f16_block, which is that call for every element.
 
 // FP16 accumulators. HMMA.1688 is D(16x8) = A(16x8) * B(8x8) + C on register
 // pairs (low register = rows 0..7): two groups. The Volta-compatibility
@@ -82,11 +78,7 @@ void exec_hmma_f16(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg b, 
   for (int g = 0; g < groups; ++g) {
     const Tile8x8 at = gather_row_major(regs, offset(a, g));
     const Tile8x8 ct = c.is_rz() ? Tile8x8{} : gather_row_major(regs, offset(c, g));
-    for (int i = 0; i < 8; ++i) {
-      for (int j = 0; j < 8; ++j) {
-        dt[g].m[i][j] = numerics::dot_f16(mode, ct.m[i][j], at.m[i], b_cols.m[j]);
-      }
-    }
+    numerics::dot_f16_block(mode, &ct.m[0][0], &at.m[0][0], &b_cols.m[0][0], &dt[g].m[0][0]);
   }
   // Emit only after every operand is read: D may alias A or C.
   for (int g = 0; g < groups; ++g) emit_words(sink, offset(d, g), pack_row_major(dt[g]));
@@ -145,18 +137,25 @@ void exec_imma_8816_s8(const WarpRegs& regs, sass::Reg d, sass::Reg a, sass::Reg
 
 }  // namespace
 
+// The gathers read each lane's word once and place both of its halves.
 Tile8x8 gather_row_major(const WarpRegs& regs, sass::Reg r) {
   Tile8x8 t;
-  for (int row = 0; row < 8; ++row) {
-    for (int col = 0; col < 8; ++col) t.m[row][col] = reg_half(regs, r, row_major_pos(row, col));
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    const half2 pair = half2::unpack(regs.read(r, lane));
+    const Coord lo = row_major_coord(lane, 0);
+    t.m[lo.row][lo.col] = pair.lo;
+    t.m[lo.row][lo.col + 1] = pair.hi;
   }
   return t;
 }
 
 Tile8x8 gather_col_major(const WarpRegs& regs, sass::Reg r) {
   Tile8x8 t;
-  for (int row = 0; row < 8; ++row) {
-    for (int col = 0; col < 8; ++col) t.m[row][col] = reg_half(regs, r, col_major_pos(row, col));
+  for (int lane = 0; lane < kWarpSize; ++lane) {
+    const half2 pair = half2::unpack(regs.read(r, lane));
+    const Coord lo = col_major_coord(lane, 0);
+    t.m[lo.row][lo.col] = pair.lo;
+    t.m[lo.row + 1][lo.col] = pair.hi;
   }
   return t;
 }

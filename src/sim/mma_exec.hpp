@@ -13,7 +13,8 @@
 //    and B is a single column-major 8x8 tile (Fig. 2).
 //
 // Numerics: each output element is one numerics::dot_f16/dot_f32 call, the
-// primitive every HMMA-semantics caller shares. Under
+// primitive every HMMA-semantics caller shares (the FP16 forms make those
+// calls through numerics::dot_f16_block, one per 8x8 group). Under
 // NumericsMode::kIdealized (the default) it is an FP32 dot product of the
 // eight FP16 products plus the accumulator, rounded once to the accumulator
 // type. This matches the "higher accuracy than FP16 units" observation [5]

@@ -498,9 +498,10 @@ TEST(CliContract, EveryCommandRejectsFlagsOutsideItsTable) {
 }
 
 TEST(CliContract, BadValuesOpenNoJson) {
-  // An out-of-range value, an unknown choice and a perf flag its other
-  // flags rule out all exit 1 at parse time, naming the flag and the value,
-  // and leave no --json file behind.
+  // An out-of-range value, an unknown choice (a split-K factor that is not a
+  // power of two among them) and a perf flag its other flags rule out all
+  // exit 1 at parse time, naming the flag and the value, and leave no --json
+  // file behind.
   const auto out = std::filesystem::temp_directory_path() / "tc_cli_bad_value.json";
   struct Case {
     const char* args;
@@ -514,7 +515,9 @@ TEST(CliContract, BadValuesOpenNoJson) {
         Case{"perf --engine device --profile", "perf --engine device does not take --profile"},
         Case{"perf --engine device --top 3", "perf --engine device does not take --top"},
         Case{"perf --trace-out t.json", "perf --trace-out needs --profile"},
-        Case{"serve --threads 0", "--threads takes an integer in [1, "}}) {
+        Case{"serve --threads 0", "--threads takes an integer in [1, "},
+        Case{"op --m 64 --n 64 --k 64 --split-k 3",
+             "--split-k takes one of 1|2|4|8|16|32|64, got '3'"}}) {
     std::filesystem::remove(out);
     const std::string args = std::string(c.args) + " --json " + out.string();
     std::string err;

@@ -8,6 +8,7 @@
 #include "core/reference.hpp"
 #include "driver/device.hpp"
 #include "sass/builder.hpp"
+#include "sim/engine.hpp"
 #include "sim/functional.hpp"
 
 namespace tc {
@@ -188,6 +189,42 @@ TEST(Functional, InstructionStatsSurviveBarrierStretches) {
   EXPECT_EQ(stats.instructions, 18u);
 }
 
+TEST(Functional, FailureNamesTheLowestFailingCtaAtAnyThreadCount) {
+  // On a 4 x 4 grid every CTA with x + y >= 4 reads through a null pointer.
+  // The lowest linear index among them is (3, 1, 0); every thread count must
+  // report that CTA and the same message.
+  KernelBuilder b("fail_some");
+  b.threads(32);
+  b.s2r(Reg{0}, SpecialReg::kCtaIdX);
+  b.s2r(Reg{1}, SpecialReg::kCtaIdY);
+  b.iadd3(Reg{2}, Reg{0}, Reg{1});
+  b.isetp_imm(Pred{0}, CmpOp::kGe, Reg{2}, 4);
+  b.mov_param(Reg{3}, 0);
+  b.mov_imm(Reg{3}, 0).pred(Pred{0});
+  b.ldg(MemWidth::k32, Reg{4}, Reg{3});
+  b.exit();
+  const auto prog = b.finalize();
+  auto dev = make_device();
+  const auto buf = dev.alloc<std::uint32_t>(32);
+  sim::Launch launch;
+  launch.program = &prog;
+  launch.grid_x = 4;
+  launch.grid_y = 4;
+  launch.params = {buf.addr};
+  std::string first;
+  for (const int threads : {1, 7, 16}) {
+    try {
+      (void)sim::FunctionalExecutor(dev.gmem(), threads).run(launch);
+      ADD_FAILURE() << threads << " threads: no failure";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("CTA (3, 1, 0): "), std::string::npos) << threads << ": " << what;
+      if (first.empty()) first = what;
+      EXPECT_EQ(what, first) << threads << " threads";
+    }
+  }
+}
+
 // --- full kernels -------------------------------------------------------------
 
 class HgemmFunctional : public ::testing::TestWithParam<core::HgemmConfig> {};
@@ -262,6 +299,50 @@ TEST(HgemmFunctional, RaggedSizesArePadded) {
   ASSERT_EQ(c.cols(), 130u);
   const HalfMatrix ref = core::gemm_ref_tc(a, bt);
   EXPECT_EQ(core::mismatch_count(c, ref), 0u);
+}
+
+TEST(HgemmFunctional, OneAndSevenHostThreadsAgreeBitwise) {
+  // 8 CTAs spread over 7 host threads give the same C, bit for bit, and the
+  // same stats as one thread, in both numerics modes and both engines.
+  const core::HgemmConfig cfg = core::HgemmConfig::cublas_like();
+  const GemmShape shape{256, 512, 128};
+  const sass::Program prog = core::hgemm_kernel_virtual(cfg, shape);
+  Rng rng(17);
+  HalfMatrix a(shape.m, shape.k), bt(shape.n, shape.k);
+  a.randomize(rng, -1.0f, 1.0f);
+  bt.randomize(rng, -1.0f, 1.0f);
+  for (const auto mode :
+       {numerics::NumericsMode::kIdealized, numerics::NumericsMode::kBitAccurate}) {
+    for (const auto engine : {sim::ExecEngine::kInterpret, sim::ExecEngine::kJit}) {
+      std::vector<std::uint16_t> c_bits[2];
+      sim::FunctionalStats stats[2];
+      for (int t = 0; t < 2; ++t) {
+        auto dev = make_device();
+        const auto da = dev.alloc<half>(a.size());
+        const auto db = dev.alloc<half>(bt.size());
+        const auto dc = dev.alloc<half>(shape.m * shape.n);
+        dev.upload(da, std::span<const half>(a.data(), a.size()));
+        dev.upload(db, std::span<const half>(bt.data(), bt.size()));
+        sim::Launch launch;
+        launch.program = &prog;
+        launch.grid_x = static_cast<std::uint32_t>(shape.n / static_cast<std::size_t>(cfg.bn));
+        launch.grid_y = static_cast<std::uint32_t>(shape.m / static_cast<std::size_t>(cfg.bm));
+        launch.params = {da.addr, db.addr, dc.addr};
+        launch.numerics = mode;
+        launch.engine = engine;
+        stats[t] = sim::FunctionalExecutor(dev.gmem(), t == 0 ? 1 : 7).run(launch);
+        std::vector<half> c(shape.m * shape.n);
+        dev.download(std::span(c.data(), c.size()), dc);
+        for (const half h : c) c_bits[t].push_back(h.bits());
+      }
+      const std::string what = std::string(numerics::numerics_mode_name(mode)) + " " +
+                               sim::exec_engine_name(engine);
+      EXPECT_EQ(c_bits[0], c_bits[1]) << what;
+      EXPECT_EQ(stats[0].instructions, stats[1].instructions) << what;
+      EXPECT_EQ(stats[0].hmma_count, stats[1].hmma_count) << what;
+      EXPECT_GT(stats[0].hmma_count, 0u) << what;
+    }
+  }
 }
 
 TEST(WmmaNaive, MatchesReference) {

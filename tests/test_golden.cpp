@@ -243,6 +243,15 @@ TEST(Golden, BenchFlagsNameTheBadValue) {
   }
 }
 
+// A --json path that cannot be opened exits 1 and names the path, as a bad
+// flag does, instead of throwing out of main after the bench's work.
+TEST(Golden, BenchUnwritableJsonPathExitsOne) {
+  const std::string path = "/nonexistent_tc_dir/x.json";
+  std::string err;
+  EXPECT_EQ(run_bench_status("table1_hmma", "--json " + path, err), 1);
+  EXPECT_NE(err.find("error: cannot open " + path + " for writing"), std::string::npos) << err;
+}
+
 // The parser itself: golden comparisons are only as trustworthy as the
 // reader, so pin its behavior on the writer's own corner cases.
 TEST(Golden, ParserRoundTripsWriterOutput) {

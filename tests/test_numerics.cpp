@@ -19,9 +19,15 @@
 //     exactly numerics::gemm_bitacc_f16, independent of kernel config; FNV
 //     pins of the idealized reference; and bitwise agreement of every
 //     idealized caller on NaN-payload inputs.
+//
+// A differential oracle rides along: a test-local copy of the F16 step as
+// it was computed in a 320-bit accumulator at unit 2^-149, compared by raw
+// bits with the 128-bit step on a million seeded steps, and the 8x8x8 block
+// entry point compared with per-element dot_f16 in both modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cfloat>
 #include <cmath>
@@ -655,6 +661,337 @@ TEST(NumericsExecutor, ModesActuallyDiffer) {
     diffs += ideal.data()[i].bits() != bitacc.data()[i].bits() ? 1 : 0;
   }
   EXPECT_GT(diffs, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// 4. Differential oracle for the F16 step.
+// ---------------------------------------------------------------------------
+
+namespace acc320 {
+
+// The F16-accumulate step as it was computed before it moved to one 128-bit
+// integer: every term at unit 2^-149 in a 320-bit two's-complement
+// accumulator, a full special-value scan first, and rounding by bit
+// extraction over the limbs. Kept verbatim in semantics as the oracle.
+
+constexpr int kScalePow = 149;
+constexpr int kLimbs = 5;
+using Mag = std::array<std::uint64_t, kLimbs>;
+
+struct Acc {
+  Mag w{};
+
+  void add(std::uint64_t mag, int shift, bool neg) {
+    if (mag == 0) return;
+    const int limb = shift >> 6;
+    const int off = shift & 63;
+    const unsigned __int128 v = static_cast<unsigned __int128>(mag) << off;
+    const std::uint64_t part[2] = {static_cast<std::uint64_t>(v),
+                                   static_cast<std::uint64_t>(v >> 64)};
+    if (!neg) {
+      unsigned __int128 carry = 0;
+      for (int i = limb; i < kLimbs; ++i) {
+        const unsigned __int128 s = static_cast<unsigned __int128>(w[static_cast<std::size_t>(i)]) +
+                                    (i - limb < 2 ? part[i - limb] : 0) + carry;
+        w[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(s);
+        carry = s >> 64;
+      }
+    } else {
+      std::uint64_t borrow = 0;
+      for (int i = limb; i < kLimbs; ++i) {
+        const __int128 s = static_cast<__int128>(w[static_cast<std::size_t>(i)]) -
+                           static_cast<__int128>(i - limb < 2 ? part[i - limb] : 0) -
+                           static_cast<__int128>(borrow);
+        w[static_cast<std::size_t>(i)] = static_cast<std::uint64_t>(s);
+        borrow = s < 0 ? 1 : 0;
+      }
+    }
+  }
+
+  [[nodiscard]] bool is_zero() const {
+    return std::all_of(w.begin(), w.end(), [](std::uint64_t limb) { return limb == 0; });
+  }
+  [[nodiscard]] bool negative() const { return (w[kLimbs - 1] >> 63) != 0; }
+  [[nodiscard]] Mag magnitude() const {
+    Mag m = w;
+    if (negative()) {
+      unsigned __int128 carry = 1;
+      for (std::uint64_t& limb : m) {
+        const unsigned __int128 s = static_cast<unsigned __int128>(~limb) + carry;
+        limb = static_cast<std::uint64_t>(s);
+        carry = s >> 64;
+      }
+    }
+    return m;
+  }
+};
+
+int top_bit(const Mag& m) {
+  for (int i = kLimbs - 1; i >= 0; --i) {
+    const std::uint64_t limb = m[static_cast<std::size_t>(i)];
+    if (limb != 0) return i * 64 + (63 - std::countl_zero(limb));
+  }
+  return -1;
+}
+
+std::uint64_t bits_at(const Mag& m, int pos, int count) {
+  const int limb = pos >> 6;
+  const int off = pos & 63;
+  std::uint64_t lo = limb < kLimbs ? m[static_cast<std::size_t>(limb)] >> off : 0;
+  if (off != 0 && limb + 1 < kLimbs) lo |= m[static_cast<std::size_t>(limb + 1)] << (64 - off);
+  return lo & ((std::uint64_t{1} << count) - 1);
+}
+
+bool bit_at(const Mag& m, int pos) { return bits_at(m, pos, 1) != 0; }
+
+bool sticky_below(const Mag& m, int pos) {
+  const int limb = pos >> 6;
+  const int off = pos & 63;
+  for (int i = 0; i < limb && i < kLimbs; ++i) {
+    if (m[static_cast<std::size_t>(i)] != 0) return true;
+  }
+  return off != 0 && limb < kLimbs &&
+         (m[static_cast<std::size_t>(limb)] & ((std::uint64_t{1} << off) - 1)) != 0;
+}
+
+struct Term {
+  std::uint64_t mag = 0;
+  int shift = 0;
+  bool neg = false;
+};
+
+Term decode_half(std::uint16_t bits) {
+  Term t;
+  t.neg = (bits & 0x8000u) != 0;
+  const std::uint32_t exp = (bits >> 10) & 0x1Fu;
+  const std::uint32_t man = bits & 0x3FFu;
+  t.mag = exp == 0 ? man : man | 0x400u;
+  t.shift = exp == 0 ? kScalePow - 24 : kScalePow + static_cast<int>(exp) - 25;
+  return t;
+}
+
+std::uint16_t round_f16_bits(const Mag& m, bool sign, const GenerationModel& model) {
+  const std::uint16_t sbit = sign ? 0x8000u : 0u;
+  const int msb = top_bit(m);
+  int e = msb - kScalePow;
+  std::uint32_t kept;
+  std::uint16_t out;
+  if (e >= -14) {
+    const int sh = msb - 10;
+    kept = static_cast<std::uint32_t>(bits_at(m, sh, 11));
+    const bool round = sh > 0 && bit_at(m, sh - 1);
+    const bool sticky = sh > 0 && sticky_below(m, sh - 1);
+    if (round && (sticky || (kept & 1u))) {
+      ++kept;
+      if (kept == (1u << 11)) {
+        kept = 1u << 10;
+        ++e;
+      }
+    }
+    if (e > 15) return sbit | 0x7C00u;
+    out = static_cast<std::uint16_t>((static_cast<std::uint32_t>(e + 15) << 10) |
+                                     (kept & 0x3FFu));
+  } else {
+    kept = static_cast<std::uint32_t>(bits_at(m, 125, 11));
+    const bool round = bit_at(m, 124);
+    const bool sticky = sticky_below(m, 124);
+    if (round && (sticky || (kept & 1u))) ++kept;
+    out = static_cast<std::uint16_t>(kept);
+  }
+  if (model.f16_ftz_out && (out & 0x7C00u) == 0) out = 0;
+  return sbit | out;
+}
+
+struct Scan {
+  bool nan = false;
+  bool pos_inf = false;
+  bool neg_inf = false;
+  bool all_zero = true;
+  bool all_neg = true;
+};
+
+void scan_product(half a, half b, Scan& s) {
+  const bool a_inf = a.is_inf();
+  const bool b_inf = b.is_inf();
+  if (a.is_nan() || b.is_nan() || (a_inf && b.is_zero()) || (b_inf && a.is_zero())) {
+    s.nan = true;
+    return;
+  }
+  if (a_inf || b_inf) {
+    (a.signbit() != b.signbit() ? s.neg_inf : s.pos_inf) = true;
+    s.all_zero = false;
+    return;
+  }
+  if (a.is_zero() || b.is_zero()) {
+    s.all_neg = s.all_neg && (a.signbit() != b.signbit());
+  } else {
+    s.all_zero = false;
+  }
+}
+
+half step_f16(half c, const half* a, const half* b, int n, const GenerationModel& model) {
+  Scan scan;
+  if (c.is_nan()) {
+    scan.nan = true;
+  } else if (c.is_inf()) {
+    (c.signbit() ? scan.neg_inf : scan.pos_inf) = true;
+    scan.all_zero = false;
+  } else if (c.is_zero()) {
+    scan.all_neg = scan.all_neg && c.signbit();
+  } else {
+    scan.all_zero = false;
+  }
+  for (int i = 0; i < n; ++i) scan_product(a[i], b[i], scan);
+  if (scan.nan || (scan.pos_inf && scan.neg_inf)) return hb(model.qnan16);
+  if (scan.pos_inf || scan.neg_inf) return hb(scan.neg_inf ? 0xFC00 : 0x7C00);
+
+  Acc acc;
+  const Term tc = decode_half(c.bits());
+  acc.add(tc.mag, tc.shift, tc.neg);
+  for (int i = 0; i < n; ++i) {
+    const Term ta = decode_half(a[i].bits());
+    const Term tb = decode_half(b[i].bits());
+    acc.add(ta.mag * tb.mag, ta.shift + tb.shift - kScalePow, ta.neg != tb.neg);
+  }
+  if (acc.is_zero()) return hb((scan.all_zero && scan.all_neg) ? 0x8000 : 0x0000);
+  return hb(round_f16_bits(acc.magnitude(), acc.negative(), model));
+}
+
+}  // namespace acc320
+
+/// Operand classes the 128-bit step must agree with the oracle on. kRaw is
+/// any 16-bit pattern, so it holds NaNs, infinities and subnormals too.
+enum class Draw { kRaw, kZero, kSubnormal, kMax, kNearOne, kPlain, kInfNan, kMixed };
+
+/// One raw bit pattern of class `d`. kMixed picks a class per operand, an
+/// infinity or NaN one time in 32, so that most steps stay finite.
+half draw_operand(Rng& rng, Draw d) {
+  if (d == Draw::kMixed) {
+    d = rng.next_below(32) == 0 ? Draw::kInfNan : static_cast<Draw>(rng.next_below(6));
+  }
+  const auto sign = static_cast<std::uint16_t>(rng.next_below(2) << 15);
+  switch (d) {
+    case Draw::kRaw:
+      return hb(static_cast<std::uint16_t>(rng.next_below(0x10000)));
+    case Draw::kZero:
+      return hb(sign);
+    case Draw::kSubnormal:
+      return hb(static_cast<std::uint16_t>(sign | (1 + rng.next_below(0x3FF))));
+    case Draw::kMax:  // +-65504: eight such products come near the 2^84 bound
+      return hb(static_cast<std::uint16_t>(sign | 0x7BFFu));
+    case Draw::kNearOne:  // within a few ulps of +-1, where sums cancel to ties
+      return hb(static_cast<std::uint16_t>(sign | (0x3BFCu + rng.next_below(8))));
+    case Draw::kPlain:
+      return half(rng.next_float(-4.0f, 4.0f));
+    case Draw::kInfNan:
+    case Draw::kMixed:
+      break;
+  }
+  return hb(static_cast<std::uint16_t>(sign | 0x7C00u |
+                                       (rng.next_below(2) == 0 ? 0u : rng.next_below(0x400))));
+}
+
+/// A step's operands from one class (one step in three draws every operand
+/// from the same class, so whole steps of maxima, zeros or subnormals occur).
+Draw draw_class(Rng& rng) {
+  return rng.next_below(3) == 0 ? static_cast<Draw>(rng.next_below(7)) : Draw::kMixed;
+}
+
+TEST(NumericsOracle, Int128StepMatchesAcc320StepOnRawPatterns) {
+  Rng rng(9101);
+  GenerationModel ftz = turing_model();
+  ftz.f16_ftz_out = true;
+  std::size_t steps = 0;
+  std::size_t nonfinite = 0;
+  for (int trial = 0; trial < 56000; ++trial) {
+    for (int n = 0; n <= 8; ++n) {
+      const Draw d = draw_class(rng);
+      half a[8];
+      half b[8];
+      for (int i = 0; i < 8; ++i) {
+        a[i] = draw_operand(rng, d);
+        b[i] = draw_operand(rng, d);
+      }
+      const half c = draw_operand(rng, d);
+      for (const GenerationModel& model : {turing_model(), ftz}) {
+        const half got = fdp_step_f16(c, a, b, n, model);
+        ASSERT_EQ(got.bits(), acc320::step_f16(c, a, b, n, model).bits())
+            << "trial " << trial << " n=" << n << " ftz=" << model.f16_ftz_out;
+        nonfinite += (got.bits() & 0x7C00u) == 0x7C00u ? 1 : 0;
+        ++steps;
+      }
+    }
+  }
+  EXPECT_GE(steps, 1'000'000u);
+  // Every class of result occurs: overflow and NaN alongside finite sums.
+  EXPECT_GT(nonfinite, steps / 20);
+  EXPECT_LT(nonfinite, steps / 2);
+}
+
+TEST(NumericsOracle, LargestStepsStayExact) {
+  // c + 8 * 65504^2 is the largest step sum, about 2^83 at unit 2^-48: it
+  // rounds to infinity, and with alternating signs the same products cancel
+  // exactly to c.
+  const half mx = hb(0x7BFF);
+  const half neg_mx = hb(0xFBFF);
+  half a[8];
+  half b[8];
+  half alt[8];
+  for (int i = 0; i < 8; ++i) {
+    a[i] = mx;
+    b[i] = mx;
+    alt[i] = i % 2 == 0 ? mx : neg_mx;
+  }
+  for (const half c : {mx, neg_mx, hb(0x0001), hb(0x8000)}) {
+    for (const half* bb : {static_cast<const half*>(b), static_cast<const half*>(alt)}) {
+      for (const half* aa : {static_cast<const half*>(a), static_cast<const half*>(alt)}) {
+        EXPECT_EQ(fdp_step_f16(c, aa, bb, 8).bits(),
+                  acc320::step_f16(c, aa, bb, 8, GenerationModel{}).bits());
+      }
+    }
+  }
+  EXPECT_EQ(fdp_step_f16(mx, a, b, 8).bits(), 0x7C00u);
+  EXPECT_EQ(fdp_step_f16(mx, a, alt, 8).bits(), 0x7BFFu);
+}
+
+TEST(NumericsOracle, BlockMatchesPerElementDotInBothModes) {
+  // dot_f16_block is defined as dot_f16 for every (i, j): compare raw bits,
+  // NaN payloads included, since both run the same compiled idealized_sum.
+  Rng rng(9102);
+  std::size_t outputs = 0;
+  std::size_t nans = 0;
+  for (int block = 0; block < 2000; ++block) {
+    const Draw d = draw_class(rng);
+    half a[64];
+    half b[64];
+    half c[64];
+    for (int i = 0; i < 64; ++i) {
+      a[i] = draw_operand(rng, d);
+      b[i] = draw_operand(rng, d);
+      c[i] = draw_operand(rng, d);
+    }
+    for (const NumericsMode mode : {NumericsMode::kIdealized, NumericsMode::kBitAccurate}) {
+      half d_out[64];
+      dot_f16_block(mode, c, a, b, d_out);
+      for (int i = 0; i < 8; ++i) {
+        for (int j = 0; j < 8; ++j) {
+          const half want = dot_f16(mode, c[i * 8 + j], a + i * 8, b + j * 8, 8);
+          ASSERT_EQ(d_out[i * 8 + j].bits(), want.bits())
+              << "block " << block << " (" << i << ", " << j << ") mode "
+              << numerics_mode_name(mode);
+          nans += want.is_nan() ? 1 : 0;
+          ++outputs;
+        }
+      }
+      // In place: d may be c.
+      half inplace[64];
+      std::copy(std::begin(c), std::end(c), std::begin(inplace));
+      dot_f16_block(mode, inplace, a, b, inplace);
+      for (int ij = 0; ij < 64; ++ij) ASSERT_EQ(inplace[ij].bits(), d_out[ij].bits());
+    }
+  }
+  EXPECT_EQ(outputs, 256'000u);
+  EXPECT_GT(nans, outputs / 20);
 }
 
 }  // namespace
