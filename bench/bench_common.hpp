@@ -7,9 +7,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "common/json.hpp"
 #include "common/matrix.hpp"
 #include "common/table.hpp"
+#include "common/write_file.hpp"
 #include "core/hgemm.hpp"
 #include "device/spec.hpp"
 
@@ -82,17 +83,16 @@ class BenchJson {
     os << "\n";
   }
 
-  /// Writes the document to `path`. A path that cannot be written prints an
-  /// error naming it and exits 1, as a bad flag does (parse_flags).
+  /// Writes the document to `path`, whole or not at all. A path that cannot
+  /// be written prints an error naming it and exits 1, as a bad flag does
+  /// (parse_flags).
   void write_file(const std::string& path) const {
-    std::ofstream os(path);
-    if (!os) {
-      std::cerr << "error: cannot open " << path << " for writing\n";
-      std::exit(1);
-    }
+    std::ostringstream os;
     write(os);
-    if (!os.flush()) {
-      std::cerr << "error: cannot write " << path << "\n";
+    try {
+      tc::write_file(path, os.str());
+    } catch (const Error& e) {
+      std::cerr << "error: " << e.what() << "\n";
       std::exit(1);
     }
   }

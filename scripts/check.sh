@@ -95,15 +95,20 @@ echo "== serve smoke: seeded traffic + persistent cache on both specs =="
 # bitwise metrics determinism across host threads). The CLI pass below then
 # drives the same stack end to end on each device: a cold run populates a
 # fresh persistent cache, the warm rerun must answer every bucket from it.
+# The cold run saves the cache once per tuned bucket, each time by renaming a
+# temporary file over it, so nothing but the cache may match its name after.
 ctest --test-dir build --output-on-failure -L "serve_smoke" -j "$JOBS"
 for dev in rtx2070 t4; do
   cache="build/serve_cache_${dev}.json"
-  rm -f "$cache"
+  rm -f "$cache"*
   ./build/examples/tcgemm_cli serve --device "$dev" --requests 30 --budget 2 \
     --cache "$cache" >/dev/null
   ./build/examples/tcgemm_cli serve --device "$dev" --requests 30 --budget 2 \
     --cache "$cache" | grep -q "0 tune evals" \
     || { echo "warm serve re-tuned on $dev"; exit 1; }
+  for f in "$cache"*; do
+    [[ "$f" == "$cache" ]] || { echo "serve left $f beside its cache on $dev"; exit 1; }
+  done
   rm -f "$cache"
 done
 

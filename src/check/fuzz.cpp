@@ -48,6 +48,8 @@ constexpr Pred kLoopPred{1};  // loop-exit predicate (warp-uniform)
 // memory races regardless of warp count or scheduling.
 constexpr int kSlotBytes = 32;
 
+constexpr std::uint64_t kTimedMaxCycles = 2'000'000;  // deadlock guard for the timed SM
+
 /// One FP16 value from the numerics operand class (FuzzOptions::
 /// numeric_operands): the hard corners of the binary16 lattice rather than
 /// uniform bit noise, so MMA/half ops exercise subnormal accumulation, NaN
@@ -112,12 +114,10 @@ class Generator {
 
   FuzzCase build(std::uint64_t seed) {
     static constexpr std::array<int, 5> kWarpChoices = {1, 1, 2, 2, 4};
-    warps_ = opts_.allow_multi_warp
-                 ? kWarpChoices[static_cast<std::size_t>(rng_.next_below(5))]
-                 : 1;
+    warps_ = kWarpChoices[static_cast<std::size_t>(rng_.next_below(5))];
     threads_ = warps_ * 32;
     use_smem_ = rng_.next_below(4) != 0;
-    const bool use_loop = opts_.allow_loops && rng_.next_below(2) == 0;
+    const bool use_loop = rng_.next_below(2) == 0;
 
     b_.threads(static_cast<std::uint32_t>(threads_));
     if (use_smem_) {
@@ -126,8 +126,7 @@ class Generator {
 
     prologue();
 
-    const int total =
-        static_cast<int>(rng_.next_int(4, std::max(4, opts_.max_body_ops)));
+    const int total = static_cast<int>(rng_.next_int(4, kMaxBodyOps));
     if (use_loop) {
       const int pre = total / 3;
       const int body = std::max(1, total / 3);
@@ -324,7 +323,7 @@ class Generator {
       half_op();
     } else if (kind < 66) {
       pred_op();
-    } else if (kind < 76 && opts_.allow_mma) {
+    } else if (kind < 76) {
       mma_op();
     } else if (kind < 84) {
       load(true);
@@ -572,7 +571,7 @@ std::optional<std::string> run_case(const FuzzCase& c, const FuzzOptions& opts) 
       sim::TimedConfig cfg;
       cfg.spec = device::rtx2070();
       cfg.probe = &probe_b;
-      cfg.max_cycles = opts.timed_max_cycles;
+      cfg.max_cycles = kTimedMaxCycles;
       sim::TimedSm sm(cfg, gmem_t);
       const sim::CtaCoord cta{0, 0};
       sm.run(launch_t, std::span(&cta, 1));

@@ -36,12 +36,11 @@ enum class FuzzCompare : std::uint8_t {
   kJitVsInterpreter,    // functional JIT vs functional interpreter (the oracle)
 };
 
+/// Upper bound on a generated program's random body instructions (the
+/// scheduler fuzzer's generator shares it).
+inline constexpr int kMaxBodyOps = 24;
+
 struct FuzzOptions {
-  int max_body_ops = 24;       // upper bound on random body instructions
-  bool allow_loops = true;
-  bool allow_mma = true;
-  bool allow_multi_warp = true;
-  std::uint64_t timed_max_cycles = 2'000'000;  // deadlock guard for the timed SM
   /// Draw register-pool seeds and input bytes from the numerics operand
   /// class — subnormals, NaN payloads, signed zeros, infinities, and exact
   /// powers of two spanning the FP16 binade ladder — instead of uniform

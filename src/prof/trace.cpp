@@ -1,9 +1,10 @@
 #include "prof/trace.hpp"
 
-#include <fstream>
 #include <ostream>
+#include <sstream>
+#include <utility>
 
-#include "common/error.hpp"
+#include "common/write_file.hpp"
 
 namespace tc::prof {
 
@@ -69,9 +70,9 @@ void TraceWriter::write(std::ostream& os) const {
 }
 
 void TraceWriter::write_file(const std::string& path) const {
-  std::ofstream os(path);
-  TC_CHECK(os.good(), "cannot open trace output file " + path);
+  std::ostringstream os;
   write(os);
+  tc::write_file(path, std::move(os).str());
 }
 
 }  // namespace tc::prof

@@ -32,6 +32,7 @@ class TraceWriter {
 
   /// Writes the Chrome trace JSON object ({"traceEvents": [...]}).
   void write(std::ostream& os) const;
+  /// write() into `path`, whole or not at all (common/write_file.hpp).
   void write_file(const std::string& path) const;
 
  private:

@@ -44,19 +44,16 @@ constexpr int kSlotBytes = 32;
 /// unscheduled mode, so an accidental .stall()/.wait() here would throw.
 class VirtualGenerator {
  public:
-  VirtualGenerator(std::uint64_t seed, const SchedFuzzOptions& opts)
+  explicit VirtualGenerator(std::uint64_t seed)
       : rng_(seed ^ 0x9E6C63D0876A9A47ull),
-        opts_(opts),
         b_("sched_fuzz_" + std::to_string(seed), /*unscheduled=*/true) {}
 
   check::FuzzCase build(std::uint64_t seed) {
     static constexpr std::array<int, 5> kWarpChoices = {1, 1, 2, 2, 4};
-    warps_ = opts_.allow_multi_warp
-                 ? kWarpChoices[static_cast<std::size_t>(rng_.next_below(5))]
-                 : 1;
+    warps_ = kWarpChoices[static_cast<std::size_t>(rng_.next_below(5))];
     threads_ = warps_ * 32;
     use_smem_ = rng_.next_below(4) != 0;
-    const bool use_loop = opts_.allow_loops && rng_.next_below(2) == 0;
+    const bool use_loop = rng_.next_below(2) == 0;
 
     b_.threads(static_cast<std::uint32_t>(threads_));
     if (use_smem_) {
@@ -65,8 +62,7 @@ class VirtualGenerator {
 
     prologue();
 
-    const int total =
-        static_cast<int>(rng_.next_int(4, std::max(4, opts_.max_body_ops)));
+    const int total = static_cast<int>(rng_.next_int(4, check::kMaxBodyOps));
     if (use_loop) {
       const int pre = total / 3;
       const int body = std::max(1, total / 3);
@@ -175,7 +171,7 @@ class VirtualGenerator {
       half_op();
     } else if (kind < 66) {
       pred_op();
-    } else if (kind < 76 && opts_.allow_mma) {
+    } else if (kind < 76) {
       mma_op();
     } else if (kind < 84) {
       load(true);
@@ -291,7 +287,6 @@ class VirtualGenerator {
   }
 
   Rng rng_;
-  const SchedFuzzOptions& opts_;
   sass::KernelBuilder b_;
   int warps_ = 1;
   int threads_ = 32;
@@ -300,23 +295,19 @@ class VirtualGenerator {
 
 }  // namespace
 
-check::FuzzCase generate_virtual_case(std::uint64_t seed,
-                                      const SchedFuzzOptions& opts) {
-  VirtualGenerator gen(seed, opts);
+check::FuzzCase generate_virtual_case(std::uint64_t seed) {
+  VirtualGenerator gen(seed);
   return gen.build(seed);
 }
 
-SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count,
-                               const SchedFuzzOptions& opts) {
+SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count) {
   SchedFuzzReport rep;
-  check::FuzzOptions run_opts;
-  run_opts.timed_max_cycles = opts.timed_max_cycles;
 
   for (int i = 0; i < count; ++i) {
     const std::uint64_t seed = base_seed + static_cast<std::uint64_t>(i);
     check::FuzzCase virt;
     try {
-      virt = generate_virtual_case(seed, opts);
+      virt = generate_virtual_case(seed);
     } catch (const std::exception& e) {
       rep.failures.push_back(
           {seed, false, "schedule", std::string("generator: ") + e.what(), ""});
@@ -337,7 +328,7 @@ SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count,
       }
       ++rep.schedules;
 
-      const auto div = check::run_case(scheduled, run_opts);
+      const auto div = check::run_case(scheduled, check::FuzzOptions{});
       if (!div.has_value()) continue;
       const bool is_exception = div->rfind("exception:", 0) == 0;
       rep.failures.push_back({seed, reorder,

@@ -29,14 +29,6 @@
 
 namespace tc::sched {
 
-struct SchedFuzzOptions {
-  int max_body_ops = 24;  // upper bound on random body instructions
-  bool allow_loops = true;
-  bool allow_mma = true;
-  bool allow_multi_warp = true;
-  std::uint64_t timed_max_cycles = 2'000'000;  // deadlock guard for the timed SM
-};
-
 struct SchedFuzzFailure {
   std::uint64_t seed = 0;
   bool reordered = false;  // which scheduling mode failed
@@ -55,12 +47,10 @@ struct SchedFuzzReport {
 /// Deterministically generates the virtual test case for `seed`: a program
 /// whose every control word is the default (stall 1, no barriers, no waits),
 /// packaged with reproducible launch data in check's FuzzCase shape.
-check::FuzzCase generate_virtual_case(std::uint64_t seed,
-                                      const SchedFuzzOptions& opts);
+check::FuzzCase generate_virtual_case(std::uint64_t seed);
 
 /// Fuzzes `count` seeds starting at `base_seed` through the full
 /// generate -> schedule -> hazard-scan -> differential-run pipeline.
-SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count,
-                               const SchedFuzzOptions& opts = {});
+SchedFuzzReport run_sched_fuzz(std::uint64_t base_seed, int count);
 
 }  // namespace tc::sched

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/json_parse.hpp"
+#include "common/write_file.hpp"
 #include "core/kernel_gen.hpp"
 #include "sass/validator.hpp"
 #include "sim/cta_order.hpp"
@@ -223,11 +224,7 @@ std::string TuneCache::to_json() const {
   return os.str();
 }
 
-void TuneCache::save(const std::string& path) const {
-  std::ofstream os(path);
-  TC_CHECK(os.good(), "cannot open tuning cache " + path + " for writing");
-  os << to_json();
-}
+void TuneCache::save(const std::string& path) const { write_file(path, to_json()); }
 
 const CacheEntry* TuneCache::find(const CacheKey& key) const {
   const auto it = std::lower_bound(

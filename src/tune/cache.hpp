@@ -99,6 +99,8 @@ class TuneCache {
   [[nodiscard]] static TuneCache load(const std::string& path, CacheLoadStats* stats = nullptr);
 
   [[nodiscard]] std::string to_json() const;
+  /// Replaces the file by rename (common/write_file.hpp), so a killed run
+  /// leaves the old cache, never a torn one.
   void save(const std::string& path) const;
 
   /// nullptr on miss. The pointer is invalidated by insert().

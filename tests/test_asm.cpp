@@ -229,7 +229,7 @@ TEST(AsmRoundTripScheduled, ControlWordsSurviveOnFuzzCorpus) {
   // waits, reuse flags. Every one of them must survive disasm -> assemble
   // bit-exactly across a varied scheduled corpus.
   for (std::uint64_t seed = 900; seed < 925; ++seed) {
-    const auto fuzz_case = sched::generate_virtual_case(seed, {});
+    const auto fuzz_case = sched::generate_virtual_case(seed);
     const auto scheduled = sched::schedule(fuzz_case.prog);
     expect_same_program(scheduled, sass::assemble(scheduled.disassemble()));
     if (::testing::Test::HasFailure()) FAIL() << "round trip broke at seed " << seed;

@@ -498,7 +498,8 @@ TEST(CliContract, EveryCommandRejectsFlagsOutsideItsTable) {
 }
 
 TEST(CliContract, BadValuesOpenNoJson) {
-  // An out-of-range value, an unknown choice (a split-K factor that is not a
+  // An out-of-range value (a --threads above the 64 host threads tune may
+  // start among them), an unknown choice (a split-K factor that is not a
   // power of two among them) and a perf flag its other flags rule out all
   // exit 1 at parse time, naming the flag and the value, and leave no --json
   // file behind.
@@ -516,6 +517,8 @@ TEST(CliContract, BadValuesOpenNoJson) {
         Case{"perf --engine device --top 3", "perf --engine device does not take --top"},
         Case{"perf --trace-out t.json", "perf --trace-out needs --profile"},
         Case{"serve --threads 0", "--threads takes an integer in [1, "},
+        Case{"tune --threads 65", "--threads takes an integer in [1, 64], got '65'"},
+        Case{"serve --threads 65", "--threads takes an integer in [1, 64], got '65'"},
         Case{"op --m 64 --n 64 --k 64 --split-k 3",
              "--split-k takes one of 1|2|4|8|16|32|64, got '3'"}}) {
     std::filesystem::remove(out);
@@ -539,6 +542,59 @@ TEST(CliContract, EachCommandKeepsItsOwnShapeDefaults) {
   EXPECT_EQ(numerics.at("m").as_number(), 32.0);
   EXPECT_EQ(numerics.at("n").as_number(), 64.0);
   EXPECT_EQ(numerics.at("k").as_number(), 64.0);
+}
+
+TEST(CliContract, LateFailuresLeaveJsonAsItWas) {
+  // An output that cannot be written once the command has run (the tuning
+  // cache after a search, the trace after a profile) exits 1 and names the
+  // path, with no source location. The --json document is written only after
+  // the command returns, so its path is left as it was: absent, or
+  // byte-identical.
+  const auto out = std::filesystem::temp_directory_path() / "tc_cli_late_failure.json";
+  const std::string dir = "/nonexistent_tc_dir/";
+  for (const auto& [args, path] :
+       {std::pair{"tune --m 64 --n 64 --k 64 --budget 2 --cache " + dir + "c.json",
+                  dir + "c.json"},
+        std::pair{"serve --requests 5 --budget 1 --cache " + dir + "c.json", dir + "c.json"},
+        std::pair{"perf --m 256 --n 256 --k 64 --profile --trace-out " + dir + "t.json",
+                  dir + "t.json"}}) {
+    for (const bool existed : {false, true}) {
+      std::filesystem::remove(out);
+      if (existed) std::ofstream(out) << "previous document\n";
+      std::string err;
+      EXPECT_EQ(run_cli_status(args + " --json " + out.string(), err), 1) << args;
+      EXPECT_NE(err.find("error: cannot open " + path + " for writing"), std::string::npos)
+          << args << ": " << err;
+      EXPECT_EQ(err.find(".cpp:"), std::string::npos) << args << ": " << err;
+      EXPECT_EQ(err.find(".hpp:"), std::string::npos) << args << ": " << err;
+      if (existed) {
+        EXPECT_EQ(read_file(out), "previous document\n") << args;
+      } else {
+        EXPECT_FALSE(std::filesystem::exists(out)) << args;
+      }
+    }
+  }
+  std::filesystem::remove(out);
+}
+
+TEST(CliContract, CacheDiagnosticNamesNoBuildPath) {
+  // A TC_CHECK message names its source by its path in the repository
+  // (src/...:N:), never by the absolute path it was built from.
+  const auto tmp = std::filesystem::temp_directory_path();
+  const auto cache = tmp / "tc_cli_entry_without_device.json";
+  const auto out = tmp / "tc_cli_entry_without_device.txt";
+  std::ofstream(cache) << R"({"schema":"tc-tune-cache-v1","entries":[{"m":64,"n":64,"k":64}]})"
+                       << "\n";
+  const std::string cmd = std::string(TC_CLI_BIN) +
+                          " tune --m 64 --n 64 --k 64 --budget 1 --cache " + cache.string() +
+                          " > " + out.string();
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const std::string text = read_file(out);
+  EXPECT_NE(text.find("malformed cache entry: src/common/json_parse.hpp:"), std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("/src/common/json_parse.hpp"), std::string::npos) << text;
+  std::filesystem::remove(cache);
+  std::filesystem::remove(out);
 }
 
 }  // namespace

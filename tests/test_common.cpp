@@ -1,7 +1,12 @@
 // Tests for the remaining common utilities and the HgemmConfig contract.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -14,6 +19,7 @@
 #include "common/json_parse.hpp"
 #include "common/matrix.hpp"
 #include "common/table.hpp"
+#include "common/write_file.hpp"
 #include "core/config.hpp"
 
 namespace tc {
@@ -260,6 +266,99 @@ TEST(Flags, TableGivesDefaultsAndRejectsEverythingElse) {
             "  [--check] [--n 4] [--explore N]\n"
             "  [--alpha 1] [--act none|relu]\n"
             "  [--json PATH]\n");
+}
+
+/// A fresh, empty directory for one WriteFile test, removed on destruction.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("tc_write_file_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+  /// True when no `*.tmp.*` file is left in the directory.
+  [[nodiscard]] bool no_temp_left() const {
+    for (const auto& e : std::filesystem::directory_iterator(path_)) {
+      if (e.path().filename().string().find(".tmp.") != std::string::npos) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream is(path);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// The message write_file throws for `path`, or "" when it succeeds.
+std::string write_file_error(const std::string& path, const std::string& contents) {
+  try {
+    write_file(path, contents);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WriteFile, ReplacesAnExistingFileWhole) {
+  const ScratchDir dir("replace");
+  const std::string path = (dir.path() / "doc.json").string();
+  std::ofstream(path) << "a much longer old document than the new one\n";
+  namespace fs = std::filesystem;
+  const auto owner_only = fs::perms::owner_read | fs::perms::owner_write;
+  fs::permissions(path, owner_only);
+  write_file(path, "{}\n");
+  EXPECT_EQ(slurp(path), "{}\n");
+  EXPECT_EQ(fs::status(path).permissions(), owner_only);  // as when rewritten in place
+  write_file(path, "");
+  EXPECT_EQ(slurp(path), "");
+  EXPECT_TRUE(dir.no_temp_left());
+}
+
+TEST(WriteFile, MissingDirectoryThrowsNamingThePathAndCreatesNothing) {
+  const ScratchDir dir("missing_dir");
+  const std::string path = (dir.path() / "no_such_dir" / "doc.json").string();
+  EXPECT_EQ(write_file_error(path, "{}\n"), "cannot open " + path + " for writing");
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+}
+
+TEST(WriteFile, SymlinkedTargetKeepsItsLink) {
+  const ScratchDir dir("symlink");
+  const auto real = dir.path() / "real.json";
+  const auto link = dir.path() / "link.json";
+  std::ofstream(real) << "old\n";
+  std::filesystem::create_symlink(real, link);
+  write_file(link.string(), "new\n");
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(std::filesystem::read_symlink(link), real);
+  EXPECT_EQ(slurp(real), "new\n");
+  EXPECT_TRUE(dir.no_temp_left());
+}
+
+TEST(WriteFile, FifoTargetIsRefused) {
+  // Renaming over a FIFO or a device node would replace it; write_file
+  // refuses any existing target that is not a regular file. The read end is
+  // held open without blocking, so a writer that opened the FIFO could not
+  // block either.
+  const ScratchDir dir("fifo");
+  const auto fifo = dir.path() / "pipe";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const int reader = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+  EXPECT_EQ(write_file_error(fifo.string(), "{}\n"),
+            "cannot write " + fifo.string() + ": not a regular file");
+  EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+  EXPECT_TRUE(dir.no_temp_left());
+  ::close(reader);
 }
 
 }  // namespace

@@ -146,7 +146,7 @@ TEST(Sched, ReorderHoistsIndependentWorkIntoStallShadows) {
 }
 
 TEST(Sched, SchedulingIsDeterministic) {
-  const auto virt = generate_virtual_case(2026, SchedFuzzOptions{}).prog;
+  const auto virt = generate_virtual_case(2026).prog;
   const auto a = schedule(virt);
   const auto b = schedule(virt);
   EXPECT_EQ(a.disassemble(), b.disassemble());
@@ -365,7 +365,7 @@ TEST(Sched, OperandAnalysisOutputsArePinned) {
 
   std::string corpus;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    schedule_both_ways(generate_virtual_case(seed, SchedFuzzOptions{}).prog, corpus);
+    schedule_both_ways(generate_virtual_case(seed).prog, corpus);
   }
   expect_pinned(corpus, 0x58ac3db2f595c00cull, "corpus");
 

@@ -12,8 +12,7 @@ namespace tc::sched {
 namespace {
 
 TEST(SchedFuzzSmoke, FixedSeedSweepSchedulesCleanAndEquivalent) {
-  SchedFuzzOptions opts;
-  const auto rep = run_sched_fuzz(0x5eedULL, 250, opts);
+  const auto rep = run_sched_fuzz(0x5eedULL, 250);
   EXPECT_EQ(rep.programs, 250);
   EXPECT_EQ(rep.schedules, 500);
   std::string why;
