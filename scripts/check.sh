@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: tier-1 build + tests, then an ASan/UBSan build of the same
 # tests (-DTC_SANITIZE=ON) to catch memory and UB bugs the release build
-# hides. Bench smoke runs ride along via their bench_smoke CTest label.
+# hides. Each ctest run covers every labeled suite once (`ctest
+# --print-labels` lists them); the gates between the two runs add the CLI
+# passes and recorded-fixture cmps that no test runs.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # tier-1 only, skip the sanitizer build
@@ -20,12 +22,8 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== schedule checks: kernel hazard scan + fuzz smoke + device/L2 xval =="
+echo "== schedule checks: kernel hazard scan =="
 ./build/examples/tcgemm_cli check
-# -L takes a regex; two -L flags would AND the labels and select nothing.
-# l2_xval cross-validates the reuse-distance sampler against the timed
-# device's emergent sector-cache hit rate for every launch order.
-ctest --test-dir build --output-on-failure -L "fuzz_smoke|device_xval|l2_xval"
 
 echo "== timed-device determinism gate: two processes per spec + recorded results =="
 # The perf JSON holds only simulated results, so any byte difference between
@@ -53,24 +51,18 @@ for dev in rtx2070 t4; do
   cmp "build/serve_${dev}.json" "tests/golden/serve_${dev}.json"
 done
 
-echo "== jit gate: differential layer + compiled-engine CLI smoke =="
-# jit_smoke carries the JIT-vs-interpreter differential layer (1000-seed
-# engine-axis fuzz in both numerics modes, per-pass translation validation,
-# regression vectors). The CLI passes then drive the compiled engine end to
-# end: run --engine jit must match the reference bitwise in both numerics
-# modes, and fuzz --engine jit must report zero divergences.
-ctest --test-dir build --output-on-failure -L "jit_smoke" -j "$JOBS"
+echo "== jit gate: compiled-engine CLI smoke =="
+# The CLI passes drive the compiled engine end to end: run --engine jit must
+# match the reference bitwise in both numerics modes, and fuzz --engine jit
+# must report zero divergences.
 ./build/examples/tcgemm_cli run --m 64 --n 64 --k 64 --engine jit --check >/dev/null
 ./build/examples/tcgemm_cli run --m 64 --n 64 --k 64 --engine jit \
   --numerics bitaccurate --check >/dev/null
 ./build/examples/tcgemm_cli fuzz --engine jit --programs 200 >/dev/null
 
-echo "== numerics gate: HMMA conformance suite + executor-vs-engine check =="
-# numerics_smoke carries the bit-accurate HMMA conformance suite (SMT-model
-# vectors, long-double oracle properties, golden error curves, executor e2e
-# bitwise match). The CLI passes then drive the executor against the engine
-# in bit-accurate mode and emit the error-vs-k curves end to end.
-ctest --test-dir build --output-on-failure -L "numerics_smoke" -j "$JOBS"
+echo "== numerics gate: executor-vs-engine check =="
+# The CLI passes drive the executor against the engine in bit-accurate mode
+# and emit the error-vs-k curves end to end.
 # The idealized sum is one emitted copy (docs/numerics.md): a clone such as
 # GCC's constant-propagated `idealized_sum [clone .constprop.0]` may return
 # other NaN payloads than the original.
@@ -79,25 +71,20 @@ ctest --test-dir build --output-on-failure -L "numerics_smoke" -j "$JOBS"
 ./build/examples/tcgemm_cli run --m 64 --n 64 --k 64 --numerics bitaccurate --check >/dev/null
 ./build/examples/tcgemm_cli numerics --k 256 >/dev/null
 
-echo "== tuner smoke: ranked search on both specs + regression labels =="
+echo "== tuner smoke: ranked search on both specs =="
 # Small-budget end-to-end search on each device: every evaluated kernel is
 # hard-gated through sass::validate + check::find_hazards inside the tuner,
-# so a non-zero exit means the search or a generated kernel regressed. The
-# deeper determinism/baseline suite runs under the tune_smoke CTest label.
+# so a non-zero exit means the search or a generated kernel regressed.
 for dev in rtx2070 t4; do
   ./build/examples/tcgemm_cli tune --device "$dev" --budget 6 >/dev/null
 done
-ctest --test-dir build --output-on-failure -L "tune_smoke|examples_smoke" -j "$JOBS"
 
 echo "== serve smoke: seeded traffic + persistent cache on both specs =="
-# The serve_smoke CTest label runs the serving-layer suite (warm-cache
-# zero-retune guarantee, hit rate >= 90% after warmup, zero hazard diags,
-# bitwise metrics determinism across host threads). The CLI pass below then
-# drives the same stack end to end on each device: a cold run populates a
-# fresh persistent cache, the warm rerun must answer every bucket from it.
-# The cold run saves the cache once per tuned bucket, each time by renaming a
-# temporary file over it, so nothing but the cache may match its name after.
-ctest --test-dir build --output-on-failure -L "serve_smoke" -j "$JOBS"
+# The CLI pass drives the serving stack end to end on each device: a cold run
+# populates a fresh persistent cache, the warm rerun must answer every bucket
+# from it. The cold run saves the cache once per tuned bucket, each time by
+# renaming a temporary file over it, so nothing but the cache may match its
+# name after.
 for dev in rtx2070 t4; do
   cache="build/serve_cache_${dev}.json"
   rm -f "$cache"*
@@ -112,13 +99,9 @@ for dev in rtx2070 t4; do
   rm -f "$cache"
 done
 
-echo "== op smoke: GemmOp lowering/exec suite + CLI bitwise plan check =="
-# op_smoke carries the operation-graph suite (lowering rules, batched/
-# split-K/epilogue execution bitwise vs the op reference, serve batch-axis
-# and metrics behavior, cache round-trip, split-K tuner win on both specs).
-# The CLI pass then lowers a batched split-K bias+GELU op end to end and
-# verifies the multi-kernel plan's output bitwise against gemm_op_ref.
-ctest --test-dir build --output-on-failure -L "op_smoke" -j "$JOBS"
+echo "== op smoke: CLI bitwise plan check =="
+# The CLI pass lowers a batched split-K bias+GELU op end to end and verifies
+# the multi-kernel plan's output bitwise against gemm_op_ref.
 ./build/examples/tcgemm_cli op --m 96 --n 80 --k 200 --batch 2 --split-k 4 \
   --alpha 1.25 --beta 0.5 --bias --act gelu --check >/dev/null
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sass/footprint.hpp"
-#include "sim/pipes.hpp"
 
 namespace tc::check {
 
@@ -15,19 +14,6 @@ using sass::Diag;
 using sass::DiagSeverity;
 using sass::Instruction;
 using sass::Opcode;
-
-// The simulator's constants are themselves aliases of the shared table, so
-// these pins are structural: they fail to compile if sim/pipes ever forks
-// its latency values away from the table this detector analyzes against.
-static_assert(sim::kAluLatency == sass::kAluLatency);
-static_assert(sim::kFmaLatency == sass::kFmaLatency);
-static_assert(sim::kSpecialLatency == sass::kSpecialLatency);
-static_assert(sim::kMmaLatencyLow == sass::kMmaLatencyLow);
-static_assert(sim::kMmaLatencyHigh == sass::kMmaLatencyHigh);
-static_assert(sim::kBranchRedirectCycles == sass::kBranchRedirectCycles);
-static_assert(sim::kAluLatency == sass::kPredicateLatency,
-              "predicates travel the ALU path; the detector and the timed SM "
-              "must agree on when an ISETP result becomes visible");
 
 namespace {
 

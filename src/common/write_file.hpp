@@ -13,7 +13,8 @@ namespace tc {
 /// flushed, so a reader sees the old file or the new one, never a torn one.
 /// A symlinked target is resolved first: the link stays and its file is
 /// replaced. A replaced file keeps its permission bits. An existing target
-/// that is not a regular file (a device node, a FIFO, a directory) is
+/// that is not a regular file (a device node, a FIFO, a directory), or that
+/// is the file this process's standard output or error writes to, is
 /// refused. On failure nothing is left behind and a tc::Error names `path`
 /// as given: "cannot open <path> for writing" when the temporary file cannot
 /// be created, else "cannot write <path>".

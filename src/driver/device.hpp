@@ -87,17 +87,4 @@ class Device {
   mem::GlobalMemory gmem_;
 };
 
-/// cudaEvent-style timing helper: converts simulated cycles to seconds.
-class EventPair {
- public:
-  explicit EventPair(const device::DeviceSpec& spec) : spec_(&spec) {}
-  void record(double cycles) { cycles_ = cycles; }
-  [[nodiscard]] double elapsed_ms() const { return spec_->cycles_to_seconds(cycles_) * 1e3; }
-  [[nodiscard]] double elapsed_s() const { return spec_->cycles_to_seconds(cycles_); }
-
- private:
-  const device::DeviceSpec* spec_;
-  double cycles_ = 0.0;
-};
-
 }  // namespace tc::driver

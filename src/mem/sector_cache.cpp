@@ -63,8 +63,4 @@ bool SectorCache::contains(std::uint64_t addr) const {
   return false;
 }
 
-void SectorCache::invalidate_all() {
-  for (auto& line : lines_) line = Line{};
-}
-
 }  // namespace tc::mem

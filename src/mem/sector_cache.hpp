@@ -41,10 +41,7 @@ class SectorCache {
   /// Non-allocating probe (for tests).
   [[nodiscard]] bool contains(std::uint64_t addr) const;
 
-  void invalidate_all();
-
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   [[nodiscard]] std::uint64_t size_bytes() const { return size_bytes_; }
   [[nodiscard]] int num_sets() const { return num_sets_; }

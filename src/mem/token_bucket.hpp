@@ -14,81 +14,43 @@
 
 namespace tc::mem {
 
-/// The budget of one simulated SM, which owns the clock: the SM calls tick()
-/// once per cycle.
-class TokenBucket {
- public:
-  /// `bytes_per_cycle` may be fractional; `burst_cycles` bounds how much
-  /// unused credit can accumulate (keeps long idle periods from creating
-  /// unrealistic bursts). The cap never drops below one maximal warp request
-  /// (512 B) so low-rate buckets can still satisfy individual accesses.
-  explicit TokenBucket(double bytes_per_cycle, double burst_cycles = 64.0)
-      : rate_(bytes_per_cycle),
-        cap_(std::max(bytes_per_cycle * burst_cycles, 1024.0)),
-        credit_(cap_) {
-    TC_CHECK(bytes_per_cycle > 0.0, "bandwidth must be positive");
-  }
-
-  /// Advances time by one cycle, accruing credit.
-  void tick() { credit_ = std::min(cap_, credit_ + rate_); }
-
-  /// Advances time by `cycles` cycles: tick() that many times, stopping
-  /// early once credit reaches the cap, where further ticks change nothing.
-  /// A closed-form `rate * cycles` would round differently.
-  void tick(std::uint64_t cycles) {
-    for (; cycles > 0 && credit_ < cap_; --cycles) tick();
-  }
-
-  /// Unconditionally withdraws `bytes`, letting credit go negative, and
-  /// returns how many cycles the requester's data is delayed until the debt
-  /// is repaid by refill. This models a memory system with outstanding-miss
-  /// queues: bandwidth shortage delays *completions* without blocking the
-  /// pipe that issued the request, while the sustained rate still converges
-  /// to `rate` because debt (and hence delay) grows with over-subscription.
-  double consume_with_debt(double bytes) {
-    credit_ -= bytes;
-    return credit_ >= 0.0 ? 0.0 : -credit_ / rate_;
-  }
-
-  /// Unused credit in bytes; negative while withdrawals are in debt.
-  [[nodiscard]] double credit() const { return credit_; }
-
- private:
-  double rate_;
-  double cap_;
-  double credit_;
-};
-
-/// A bandwidth budget shared by the SMs of a full-device simulation.
-///
-/// No single client owns the clock, so credit is accrued from the
-/// *timestamps* of the requests themselves: the bucket remembers the latest
-/// cycle it has seen and deposits `rate` bytes per elapsed cycle.
-/// Consumption uses the same debt semantics as
-/// TokenBucket::consume_with_debt — shortage delays a request's completion by
-/// debt/rate cycles without blocking the issuing pipe — which is what makes
+/// One bandwidth budget, owned by a standalone SM or shared by the SMs of a
+/// full-device simulation. No client owns the clock: credit is accrued from
+/// the *timestamps* of the withdrawals themselves, so cycles in which nobody
+/// withdraws cost nothing. Shortage delays a request's completion by
+/// debt/rate cycles without blocking the issuing pipe, which is what makes
 /// bandwidth *contention between SMs* emerge: every SM's withdrawals deepen
 /// the common debt, so each one's completions slip.
 ///
-/// sim::TimedDevice steps its SMs in lockstep, so `now` never decreases
-/// between calls, and requests of one cycle are served in call order.
-class MultiClientBucket {
+/// `now` never decreases between calls (sim::TimedDevice steps its SMs in
+/// lockstep), and requests of one cycle are served in call order.
+class TokenBucket {
  public:
-  explicit MultiClientBucket(double bytes_per_cycle, double burst_cycles = 64.0)
-      : rate_(bytes_per_cycle),
-        cap_(std::max(bytes_per_cycle * burst_cycles, 1024.0)),
-        credit_(cap_) {
+  /// `bytes_per_cycle` may be fractional. Unused credit accumulates for at
+  /// most 64 cycles, which keeps long idle periods from creating unrealistic
+  /// bursts; the cap never drops below 1024 B, two maximal warp requests, so
+  /// low-rate buckets can still satisfy individual accesses.
+  explicit TokenBucket(double bytes_per_cycle)
+      : rate_(bytes_per_cycle), cap_(std::max(bytes_per_cycle * 64.0, 1024.0)), credit_(cap_) {
     TC_CHECK(bytes_per_cycle > 0.0, "bandwidth must be positive");
   }
 
-  /// Withdraws `bytes` at the caller's cycle `now`, letting credit go
-  /// negative, and returns the completion delay in cycles (0 when credit
-  /// covered the request). Credit accrues for the cycles elapsed since the
-  /// previous call; a second call in the same cycle accrues nothing.
-  double consume(double bytes, double now) {
-    if (now > last_now_) {
-      credit_ = std::min(cap_, credit_ + rate_ * (now - last_now_));
-      last_now_ = now;
+  /// Withdraws `bytes` at cycle `now`, letting credit go negative, and
+  /// returns how many cycles the requester's data is delayed until the debt
+  /// is repaid by refill (0 when credit covered it). This models a memory
+  /// system with outstanding-miss queues: the sustained rate converges to
+  /// `rate` because debt, and hence delay, grows with over-subscription.
+  ///
+  /// Credit accrues one `rate` per cycle since the previous call, added one
+  /// cycle at a time and stopping at the cap; a second call in the same
+  /// cycle accrues nothing. The closed form `rate * (now - last)` would
+  /// round differently from the running sum at fractional rates, and moves
+  /// recorded results: T4 `perf --profile` at 1024x1024x256 reads one more
+  /// bandwidth-debt stall cycle.
+  double consume(double bytes, std::uint64_t now) {
+    if (now > last_) {
+      for (; last_ < now && credit_ < cap_; ++last_) credit_ = std::min(cap_, credit_ + rate_);
+      last_ = now;
     }
     credit_ -= bytes;
     return credit_ >= 0.0 ? 0.0 : -credit_ / rate_;
@@ -98,7 +60,7 @@ class MultiClientBucket {
   double rate_;
   double cap_;
   double credit_;
-  double last_now_ = 0.0;
+  std::uint64_t last_ = 0;  // the cycle credit has accrued up to
 };
 
 }  // namespace tc::mem

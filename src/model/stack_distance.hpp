@@ -75,7 +75,7 @@ class StackDistance {
 };
 
 /// The full dispatch sequence of `order` over a grid_x x grid_y grid —
-/// the model-side twin of sim::CtaOrderMap, implemented independently.
+/// the model-side twin of sim::CtaSource, implemented independently.
 [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint32_t>> launch_trace(
     LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y, int supertile_width);
 

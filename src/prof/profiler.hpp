@@ -60,7 +60,6 @@ class Profiler {
 
   // --- results ------------------------------------------------------------
   [[nodiscard]] int partitions() const { return partitions_; }
-  [[nodiscard]] const std::string& program_name() const { return program_name_; }
 
   /// Idle cycles of partition `p`'s scheduler, split by reason; they sum to
   /// the run's CounterSet::sched[p].idle_cycles.

@@ -1,9 +1,10 @@
 #include "sim/cta_order.hpp"
 
-#include <memory>
+#include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
-#include "sim/timed_sm.hpp"
+#include "sim/launch.hpp"
 
 namespace tc::sim {
 namespace {
@@ -66,33 +67,37 @@ LaunchOrder launch_order_from_name(const std::string& name) {
   return LaunchOrder::kRowMajor;
 }
 
-CtaOrderMap::CtaOrderMap(LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y,
-                         int supertile_width)
-    : order_(order),
-      grid_x_(grid_x),
-      grid_y_(grid_y),
-      supertile_width_(static_cast<std::uint32_t>(supertile_width)),
-      total_(static_cast<std::uint64_t>(grid_x) * grid_y) {
-  TC_CHECK(grid_x >= 1 && grid_y >= 1, "CtaOrderMap: empty grid");
-  TC_CHECK(supertile_width >= 1, "CtaOrderMap: supertile width must be >= 1");
+CtaSource::CtaSource(const Launch& launch)
+    : order_(launch.launch_order),
+      grid_x_(launch.grid_x),
+      grid_y_(launch.grid_y),
+      supertile_width_(static_cast<std::uint32_t>(launch.supertile_width)),
+      plane_(static_cast<std::uint64_t>(launch.grid_x) * launch.grid_y),
+      total_(launch.num_ctas()) {
+  TC_CHECK(grid_x_ >= 1 && grid_y_ >= 1, "CtaSource: empty grid");
+  TC_CHECK(launch.supertile_width >= 1, "CtaSource: supertile width must be >= 1");
   while (hilbert_side_ < grid_x_ || hilbert_side_ < grid_y_) hilbert_side_ <<= 1;
 }
 
-std::pair<std::uint32_t, std::uint32_t> CtaOrderMap::next() {
-  TC_CHECK(issued_ < total_, "CtaOrderMap::next past the end of the grid");
-  const std::uint64_t i = issued_++;
+std::optional<CtaCoord> CtaSource::next() {
+  if (issued_ >= total_) return std::nullopt;
+  const std::uint64_t i = issued_ % plane_;  // index inside the z plane
+  const auto z = static_cast<std::uint32_t>(issued_ / plane_);
+  ++issued_;
+  if (i == 0) hilbert_d_ = 0;  // each z plane re-walks the curve from its start
   switch (order_) {
     case LaunchOrder::kRowMajor:
     case LaunchOrder::kSwizzled: {
       // kSwizzled is an analytic patch shape, not a concrete dispatch order;
       // the simulator realizes it as the hardware row-major walk.
-      return {static_cast<std::uint32_t>(i % grid_x_), static_cast<std::uint32_t>(i / grid_x_)};
+      return CtaCoord{static_cast<std::uint32_t>(i % grid_x_),
+                      static_cast<std::uint32_t>(i / grid_x_), z};
     }
     case LaunchOrder::kSerpentine: {
       const std::uint64_t y = i / grid_x_;
       const std::uint64_t r = i % grid_x_;
       const std::uint64_t x = (y % 2 == 1) ? grid_x_ - 1 - r : r;
-      return {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
+      return CtaCoord{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y), z};
     }
     case LaunchOrder::kSupertile: {
       const std::uint64_t w = std::min<std::uint64_t>(supertile_width_, grid_x_);
@@ -101,35 +106,26 @@ std::pair<std::uint32_t, std::uint32_t> CtaOrderMap::next() {
       if (i < full_cells) {
         const std::uint64_t panel = i / (w * grid_y_);
         const std::uint64_t r = i % (w * grid_y_);
-        return {static_cast<std::uint32_t>(panel * w + r % w),
-                static_cast<std::uint32_t>(r / w)};
+        return CtaCoord{static_cast<std::uint32_t>(panel * w + r % w),
+                        static_cast<std::uint32_t>(r / w), z};
       }
       // Trailing partial panel of grid_x % w columns.
       const std::uint64_t j = i - full_cells;
       const std::uint64_t rem = grid_x_ - full_panels * w;
-      return {static_cast<std::uint32_t>(full_panels * w + j % rem),
-              static_cast<std::uint32_t>(j / rem)};
+      return CtaCoord{static_cast<std::uint32_t>(full_panels * w + j % rem),
+                      static_cast<std::uint32_t>(j / rem), z};
     }
     case LaunchOrder::kHilbert: {
       for (;;) {
         const auto [x, y] = hilbert_d2xy(hilbert_side_, hilbert_d_++);
         if (x < grid_x_ && y < grid_y_) {
-          return {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
+          return CtaCoord{static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y), z};
         }
       }
     }
   }
-  TC_CHECK(false, "CtaOrderMap: unhandled launch order");
-  return {0, 0};
-}
-
-std::unique_ptr<CtaSource> make_cta_source(const Launch& launch) {
-  if (launch.launch_order == LaunchOrder::kRowMajor ||
-      launch.launch_order == LaunchOrder::kSwizzled) {
-    return std::make_unique<GridCtaSource>(launch.grid_x, launch.grid_y, launch.grid_z);
-  }
-  return std::make_unique<OrderedCtaSource>(launch.launch_order, launch.grid_x, launch.grid_y,
-                                            launch.supertile_width, launch.grid_z);
+  TC_CHECK(false, "CtaSource: unhandled launch order");
+  return std::nullopt;
 }
 
 }  // namespace tc::sim

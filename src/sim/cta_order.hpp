@@ -8,15 +8,15 @@
 // below (supertile / serpentine / Hilbert) keep the wave's footprint closer
 // to square, holding per-wave L2 reuse through arbitrarily wide grids.
 //
-// The same orders exist twice in the tree on purpose: here as the dispatch
-// map driving TimedDevice, and independently as trace generators feeding the
+// The same orders exist twice in the tree on purpose: here as the CtaSource
+// driving TimedDevice, and independently as trace generators feeding the
 // model's stack-distance sampler (model/stack_distance.*). A property test
 // pins both implementations to the identical permutation of the grid.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <utility>
 
 namespace tc::sim {
 
@@ -44,28 +44,35 @@ enum class LaunchOrder {
 /// Inverse of launch_order_name; throws on an unknown name.
 [[nodiscard]] LaunchOrder launch_order_from_name(const std::string& name);
 
-/// Sequential (x, y) generator for a launch order over a grid_x x grid_y
-/// grid. Emits each grid cell exactly once. Index arithmetic per order; the
-/// Hilbert walk keeps an internal cursor, so cells must be drained in
-/// sequence (which is all a CtaSource ever does).
-class CtaOrderMap {
+/// CTA coordinates within a launch's grid.
+struct CtaCoord {
+  std::uint32_t x = 0;
+  std::uint32_t y = 0;
+  std::uint32_t z = 0;
+};
+
+struct Launch;
+
+/// Hands out a launch's CTAs to SMs as their resident slots free up — the
+/// GigaThread engine of a full-device simulation. Dispatch is z-outer: each
+/// z plane is walked in the launch's order, from its start, before the next;
+/// every CTA is emitted exactly once. The SMs of one TimedDevice share one
+/// source and call it from one host thread, in lockstep order.
+class CtaSource {
  public:
-  CtaOrderMap(LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y,
-              int supertile_width);
+  explicit CtaSource(const Launch& launch);
 
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] std::uint32_t grid_x() const { return grid_x_; }
-  [[nodiscard]] std::uint32_t grid_y() const { return grid_y_; }
-
-  /// Coordinates of the next CTA in dispatch order. Precondition: fewer than
-  /// total() calls so far.
-  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> next();
+  /// Next CTA to place in a freed slot, or nullopt when the grid is drained.
+  std::optional<CtaCoord> next();
+  /// How many CTAs have been handed out so far.
+  [[nodiscard]] std::uint64_t issued() const { return issued_; }
 
  private:
   LaunchOrder order_;
   std::uint32_t grid_x_;
   std::uint32_t grid_y_;
   std::uint32_t supertile_width_;
+  std::uint64_t plane_;  // CTAs per z plane
   std::uint64_t total_;
   std::uint64_t issued_ = 0;
   // Hilbert cursor: side of the bounding square and the next curve index.

@@ -23,9 +23,9 @@ struct Launch {
   /// z plane is walked in the configured 2D launch order before the next.
   std::uint32_t grid_z = 1;
   std::vector<std::uint32_t> params;
-  /// CTA dispatch order. kRowMajor and kSwizzled both dispatch in hardware
-  /// row-major order (kSwizzled is an analytic model patch, not a concrete
-  /// walk); the other orders drive an OrderedCtaSource.
+  /// CTA dispatch order, walked by sim::CtaSource. kRowMajor and kSwizzled
+  /// both dispatch in hardware row-major order (kSwizzled is an analytic
+  /// model patch, not a concrete walk).
   LaunchOrder launch_order = LaunchOrder::kRowMajor;
   /// Panel width for kSupertile; ignored by every other order.
   int supertile_width = 8;

@@ -1,7 +1,5 @@
 #include "sim/pipes.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace tc::sim {
@@ -45,10 +43,6 @@ int smem_base_cost(sass::Opcode op, sass::MemWidth width) {
       return store ? 10 : 8;
   }
   TC_ASSERT(false, "unknown width");
-}
-
-double global_cost(double l1_bytes, double beyond_l1_bytes) {
-  return std::max(4.0, l1_bytes / 64.0 + beyond_l1_bytes / 32.0);
 }
 
 MemLatency mem_latency(const device::DeviceSpec& spec) {

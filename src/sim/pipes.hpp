@@ -22,19 +22,10 @@ namespace tc::sim {
 
 // --- fixed-latency pipes --------------------------------------------------
 
-// Result latencies (cycles from issue to register visibility) live in the
-// shared table sass/latency.hpp, consumed identically by this simulator, the
-// static hazard detector, the stall-slack lint, and the scheduler. The sim::
-// names below are aliases kept for existing call sites.
-inline constexpr int kAluLatency = sass::kAluLatency;
-inline constexpr int kFmaLatency = sass::kFmaLatency;
-inline constexpr int kSpecialLatency = sass::kSpecialLatency;
-/// HMMA destination halves (paper Table I).
-inline constexpr int kMmaLatencyLow = sass::kMmaLatencyLow;
-inline constexpr int kMmaLatencyHigh = sass::kMmaLatencyHigh;
-
-/// Cycles a taken branch blocks further issue of its warp (fetch redirect).
-inline constexpr int kBranchRedirectCycles = sass::kBranchRedirectCycles;
+// Result latencies (cycles from issue to register visibility) and the taken
+// branch's fetch redirect live in the shared table sass/latency.hpp, consumed
+// identically by this simulator, the static hazard detector, the
+// stall-slack lint, and the scheduler.
 
 /// Issue-to-issue occupancy of the per-partition pipes (warp CPI).
 [[nodiscard]] int pipe_occupancy(const sass::Instruction& inst);
@@ -50,11 +41,6 @@ using sass::fixed_latency;
 /// Base MIO occupancy for shared-memory instructions (before bank-conflict
 /// multiplication): paper Table IV theoretical values.
 [[nodiscard]] int smem_base_cost(sass::Opcode op, sass::MemWidth width);
-
-/// MIO occupancy of a global access moving `bytes` in total, split by the
-/// serving level. The L1 return path sustains 64 B/cycle; everything coming
-/// from L2 or DRAM crosses the 32 B/cycle L2-to-SM port. 4-cycle minimum.
-[[nodiscard]] double global_cost(double l1_bytes, double beyond_l1_bytes);
 
 /// Data-return latency by serving level.
 struct MemLatency {

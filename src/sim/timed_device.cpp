@@ -22,34 +22,32 @@ DeviceResult TimedDevice::run(const Launch& launch) {
   TC_CHECK(num_ctas > 0, "empty grid");
 
   // Priming is depth-first: SM i takes the next ctas_per_sm CTAs from the
-  // x-major source, so co-residents are launch-order row neighbours — the
-  // residency the model's steady-state surrogate (model/validate.cpp) and
-  // the documented xval tolerance bands are calibrated against. Only as many
-  // SMs as the grid can actually feed participate: a sub-wave grid
-  // (num_ctas < num_sms * ctas_per_sm) concentrates onto
-  // ceil(num_ctas / ctas_per_sm) SMs instead of starving trailing SMs of
-  // their first CTA mid-priming. (Real GigaThread would spread a sub-wave
-  // grid breadth-first across all SMs, one CTA each; that placement also
-  // changes which operand slab co-residents share, so adopting it means
-  // re-calibrating the surrogate geometry and the xval bands with it.)
+  // source, so co-residents are launch-order neighbours (row neighbours in
+  // row-major order) — the residency the model's steady-state surrogate
+  // (model/validate.cpp) and the documented xval tolerance bands are
+  // calibrated against. Only as many SMs as the grid can actually feed
+  // participate: a sub-wave grid (num_ctas < num_sms * ctas_per_sm)
+  // concentrates onto ceil(num_ctas / ctas_per_sm) SMs instead of starving
+  // trailing SMs of their first CTA mid-priming. (Real GigaThread would
+  // spread a sub-wave grid breadth-first across all SMs, one CTA each; that
+  // placement also changes which operand slab co-residents share, so
+  // adopting it means re-calibrating the surrogate geometry and the xval
+  // bands with it.)
   const auto per_sm = static_cast<std::uint64_t>(cfg_.ctas_per_sm);
   const int sms_used = static_cast<int>(std::min<std::uint64_t>(
       static_cast<std::uint64_t>(cfg_.spec.num_sms), (num_ctas + per_sm - 1) / per_sm));
 
-  // kRowMajor / kSwizzled keep the exact GridCtaSource path above; the
-  // locality-preserving orders dispatch through an OrderedCtaSource.
-  const std::unique_ptr<CtaSource> source_owner = make_cta_source(launch);
-  CtaSource& source = *source_owner;
-  SharedMemSystem shared(cfg_.spec);
+  CtaSource source(launch);
+  TimedConfig tc;
+  tc.spec = cfg_.spec;
+  tc.skip_mma_math = cfg_.skip_mma_math;
+  tc.forced_l2_hit_rate = cfg_.forced_l2_hit_rate;
+  MemSystem shared(tc);  // the full device's budgets and L2
+  tc.shared = &shared;
 
   std::vector<std::unique_ptr<TimedSm>> sms;
   sms.reserve(static_cast<std::size_t>(sms_used));
   for (int i = 0; i < sms_used; ++i) {
-    TimedConfig tc;
-    tc.spec = cfg_.spec;
-    tc.skip_mma_math = cfg_.skip_mma_math;
-    tc.forced_l2_hit_rate = cfg_.forced_l2_hit_rate;
-    tc.shared = &shared;
     tc.sm_id = i;
     sms.push_back(std::make_unique<TimedSm>(tc, gmem_));
     sms.back()->begin(launch, source, cfg_.ctas_per_sm);
@@ -89,8 +87,7 @@ DeviceResult TimedDevice::run(const Launch& launch) {
     res.total += res.per_sm.back();
   }
   res.device_cycles = res.total.cycles;
-  res.l2_hit_rate =
-      cfg_.forced_l2_hit_rate >= 0.0 ? cfg_.forced_l2_hit_rate : shared.l2_hit_rate();
+  res.l2_hit_rate = tc.l2_pinned() ? cfg_.forced_l2_hit_rate : shared.l2->stats().hit_rate();
   res.ctas_run = source.issued();
   return res;
 }

@@ -1,8 +1,9 @@
 // Cycle-level multi-SM device simulator.
 //
-// Runs one TimedSm per SM of the target device against *shared* DRAM/L2
-// bandwidth budgets and a shared L2 tag array (SharedMemSystem), with CTAs
-// handed out dynamically from a GridCtaSource as resident slots retire. The
+// Runs one TimedSm per SM of the target device against one shared
+// MemSystem (the device's DRAM and L2 bandwidth budgets and its L2 tag
+// array), with CTAs handed out dynamically from one CtaSource, in the
+// launch's order, as resident slots retire. The
 // full-device effects the wave model (model::WavePerf) only *assumes* —
 // bandwidth contention between SMs, wave quantization, uneven tail waves,
 // inter-CTA L2 reuse — all emerge here from simulation, which is what makes

@@ -12,7 +12,6 @@
 #include "prof/profiler.hpp"
 #include "mem/coalescer.hpp"
 #include "mem/sector_cache.hpp"
-#include "mem/token_bucket.hpp"
 #include "sim/exec_core.hpp"
 #include "sim/pipes.hpp"
 #include "sim/probe.hpp"
@@ -114,13 +113,13 @@ constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
 struct TimedSm::Impl {
   TimedConfig cfg;
   mem::GlobalMemory& gmem;
-  mem::SectorCache l1;
-  // Private L2 tag array: only a standalone SM with an emergent L2 reads it.
-  // Device SMs probe SharedMemSystem::l2; a pinned hit rate probes none.
-  std::optional<mem::SectorCache> l2;
-  mem::TokenBucket dram_bw;
-  mem::TokenBucket l2_bw;
   MemLatency lat;
+  // Built by begin(), so a second run starts as cold as the first: the L1
+  // tags, and a standalone SM's memory system. A device SM charges
+  // cfg.shared instead; memsys points at the one in use.
+  std::optional<mem::SectorCache> l1;
+  std::optional<MemSystem> own_mem;
+  MemSystem* memsys = nullptr;
   double forced_l2_accum = 0.0;
 
   // --- run state (valid from begin() until finish()) -----------------------
@@ -156,17 +155,7 @@ struct TimedSm::Impl {
   Impl(TimedConfig c, mem::GlobalMemory& g)
       : cfg(c),
         gmem(g),
-        l1(c.spec.l1_size_bytes, c.spec.l1_ways),
-        dram_bw(c.dram_bytes_per_cycle > 0 ? c.dram_bytes_per_cycle
-                                           : c.spec.dram_bytes_per_cycle()),
-        l2_bw(c.l2_bytes_per_cycle > 0 ? c.l2_bytes_per_cycle : c.spec.l2_bytes_per_cycle()),
-        lat(mem_latency(c.spec)) {
-    if (cfg.shared == nullptr && !l2_pinned()) l2.emplace(c.spec.l2_size_bytes, c.spec.l2_ways);
-  }
-
-  /// A rate >= 0 pins the L2 hit fraction; any other value (negative or NaN)
-  /// leaves L2 hits emergent from a tag array.
-  [[nodiscard]] bool l2_pinned() const { return cfg.forced_l2_hit_rate >= 0.0; }
+        lat(mem_latency(c.spec)) {}
 
   // Round-robin partition assignment by global warp index, as on hardware.
   [[nodiscard]] int partition_of(int w) const { return w % partitions; }
@@ -195,10 +184,9 @@ struct TimedSm::Impl {
 
   /// Classifies one global access: which bytes come from L1/L2/DRAM, what
   /// MIO cost and latency it has. Mutates cache tag state (done exactly once
-  /// per op). When bound to a SharedMemSystem the device-wide L2 tag array is
-  /// probed instead of the private per-SM copy, so hits produced by *other*
-  /// SMs' traffic are observed — that is the inter-CTA reuse WavePerf only
-  /// models analytically.
+  /// per op). A device SM probes the device-wide L2 tag array, so hits
+  /// produced by *other* SMs' traffic are observed — that is the inter-CTA
+  /// reuse WavePerf only models analytically.
   void classify_global(MioOp& op) {
     const auto sectors =
         mem::coalesce_sectors(std::span(op.access.addrs), std::span(op.access.active),
@@ -213,7 +201,7 @@ struct TimedSm::Impl {
       dram_bytes = static_cast<double>(active_lanes) * sass::width_bytes(op.access.width);
     }
     for (const auto s : sectors) {
-      if (use_l1 && l1.access(s) == mem::HitLevel::kHit) {
+      if (use_l1 && l1->access(s) == mem::HitLevel::kHit) {
         l1_bytes += mem::kSectorBytes;
         continue;
       }
@@ -224,14 +212,12 @@ struct TimedSm::Impl {
         continue;
       }
       bool l2_hit;
-      if (l2_pinned()) {
+      if (cfg.l2_pinned()) {
         forced_l2_accum += cfg.forced_l2_hit_rate;
         l2_hit = forced_l2_accum >= 1.0;
         if (l2_hit) forced_l2_accum -= 1.0;
-      } else if (cfg.shared != nullptr) {
-        l2_hit = cfg.shared->l2.access(s) == mem::HitLevel::kHit;
       } else {
-        l2_hit = l2->access(s) == mem::HitLevel::kHit;
+        l2_hit = memsys->l2->access(s) == mem::HitLevel::kHit;
       }
       if (l2_hit) {
         l2_bytes += mem::kSectorBytes;
@@ -311,6 +297,10 @@ struct TimedSm::Impl {
     free_slots.clear();
     counters = prof::CounterSet{};
     counters.sched.assign(static_cast<std::size_t>(partitions), prof::SchedCounters{});
+    l1.emplace(cfg.spec.l1_size_bytes, cfg.spec.l1_ways);
+    memsys = cfg.shared != nullptr ? cfg.shared : &own_mem.emplace(cfg);
+    TC_CHECK(cfg.l2_pinned() || memsys->l2.has_value(),
+             "an emergent L2 hit rate needs a MemSystem with an L2 tag array");
     forced_l2_accum = 0.0;
     now = 0;
     idle_until = 0;
@@ -477,13 +467,9 @@ struct TimedSm::Impl {
 
   void step_cycle() {
     TC_CHECK(now < cfg.max_cycles, "timed simulation exceeded max_cycles (deadlock?)");
-    if (cfg.shared == nullptr) {
-      dram_bw.tick();
-      l2_bw.tick();
-    }
-    // Whether this cycle changes anything but the clock, the private
-    // buckets, due writebacks and the profiler's attribution; and the
-    // earliest cycle a blocked warp can wake up by itself.
+    // Whether this cycle changes anything but the clock, due writebacks and
+    // the profiler's attribution; and the earliest cycle a blocked warp can
+    // wake up by itself.
     bool changed = false;
     std::uint64_t wake = kNoEvent;
 
@@ -543,22 +529,15 @@ struct TimedSm::Impl {
         std::uint64_t arrive = mio_free + static_cast<std::uint64_t>(op.latency);
         if (op.access.is_global && op.port_bytes > 0.0) {
           // Serialize through the L2-to-SM return port, then apply device
-          // bandwidth debt (shortage delays completion, not the pipe).
+          // bandwidth debt (shortage delays completion, not the pipe). A
+          // device's SMs share the budgets, so all their withdrawals deepen
+          // one common debt and bandwidth contention between SMs emerges.
           const double port_busy = op.port_bytes / cfg.spec.l2_port_bytes_per_cycle;
           const double data_ready = std::max(static_cast<double>(now), port_free) + port_busy;
           port_free = data_ready;
           counters.l2_port_busy_cycles += port_busy;
-          double bw_delay;
-          if (cfg.shared != nullptr) {
-            // Device-shared budgets: all SMs' withdrawals deepen one common
-            // debt, so bandwidth contention between SMs emerges here.
-            bw_delay = std::max(
-                cfg.shared->l2_bw.consume(op.need_l2_tokens, static_cast<double>(now)),
-                cfg.shared->dram_bw.consume(op.need_dram_tokens, static_cast<double>(now)));
-          } else {
-            bw_delay = std::max(l2_bw.consume_with_debt(op.need_l2_tokens),
-                                dram_bw.consume_with_debt(op.need_dram_tokens));
-          }
+          const double bw_delay = std::max(memsys->l2_bw.consume(op.need_l2_tokens, now),
+                                           memsys->dram_bw.consume(op.need_dram_tokens, now));
           counters.mio_bw_stall += static_cast<std::uint64_t>(bw_delay);
           arrive = static_cast<std::uint64_t>(data_ready + bw_delay) +
                    static_cast<std::uint64_t>(op.latency);
@@ -681,7 +660,7 @@ struct TimedSm::Impl {
                             now + static_cast<std::uint64_t>(fixed_latency(inst, off)));
           }
           for (const auto& cp : sink.preds) {
-            w.pending_preds.push_back({now + kAluLatency, cp});
+            w.pending_preds.push_back({now + sass::kPredicateLatency, cp});
           }
         }
 
@@ -694,7 +673,7 @@ struct TimedSm::Impl {
             break;
           case StepKind::kBranch:
             w.pc = r.branch_target;
-            w.ready_cycle = now + std::max<std::uint64_t>(stall, kBranchRedirectCycles);
+            w.ready_cycle = now + std::max<std::uint64_t>(stall, sass::kBranchRedirectCycles);
             break;
           case StepKind::kBarrier:
             ++w.pc;
@@ -785,19 +764,15 @@ struct TimedSm::Impl {
   /// Advances the clock to `cycle` (clamped to max_cycles, so a deadlocked
   /// run still fails in step_cycle) through cycles that repeat the last,
   /// idle one — cycle <= idle_until — replaying what step_cycle would have
-  /// done in them, bit for bit: the private buckets' per-cycle refill, the
-  /// writeback commits of every warp warp_state_of gets to settle, and the
-  /// profiler's stall attribution, charged in bulk.
+  /// done in them, bit for bit: the writeback commits of every warp
+  /// warp_state_of gets to settle, and the profiler's stall attribution,
+  /// charged in bulk. No bandwidth budget refills here: a bucket accrues its
+  /// credit from the cycle of its next withdrawal.
   void skip_to(std::uint64_t cycle) {
     cycle = std::min(cycle, cfg.max_cycles);
     if (cycle <= now) return;
     TC_CHECK(cycle <= idle_until, "skip_to past idle_until(): those cycles are not idle");
-    const std::uint64_t cycles = cycle - now;
-    if (cfg.shared == nullptr) {
-      dram_bw.tick(cycles);
-      l2_bw.tick(cycles);
-    }
-    for (int p = 0; p < partitions; ++p) sched_idle(p, cycles);
+    for (int p = 0; p < partitions; ++p) sched_idle(p, cycle - now);
     // warp_state_of settles a warp once per cycle unless it is dead, at a
     // barrier or inside its stall-count window, none of which changes
     // inside the window; settling at each due cycle commits the same writes

@@ -7,9 +7,11 @@
 //  * One SM-wide MIO unit serving LDS/STS/LDG/STG in order from a bounded
 //    queue; shared-memory costs follow Table IV (x bank-conflict factor),
 //    global costs follow Table III (64 B/cy L1 path, 32 B/cy L2 port).
-//  * DRAM and L2 bandwidth are token buckets; the caller chooses the budget
-//    (full device for single-SM microbenchmarks, a 1/num_SMs share for
-//    steady-state HGEMM runs under full occupancy).
+//  * Global traffic is charged to a MemSystem: DRAM and L2 bandwidth
+//    budgets (token buckets) and an L2 tag array. A standalone SM builds its
+//    own, with the budget the caller chooses (full device for single-SM
+//    microbenchmarks, a 1/num_SMs share for steady-state HGEMM runs under
+//    full occupancy); the SMs of a TimedDevice share the device's one.
 //  * Scheduling is hazard-accurate: fixed-latency results commit
 //    `latency` cycles after issue; stall counts and scoreboard barriers are
 //    the only protections, exactly as on silicon. Under-scheduled kernels
@@ -37,108 +39,7 @@ class Profiler;
 namespace tc::sim {
 
 class StateProbe;
-
-/// CTA coordinates resident on the simulated SM.
-struct CtaCoord {
-  std::uint32_t x = 0;
-  std::uint32_t y = 0;
-  std::uint32_t z = 0;
-};
-
-/// Hands out CTAs to SMs as their resident slots free up — the GigaThread
-/// engine of a full-device simulation. The SMs of one TimedDevice share one
-/// source and call it from one host thread, in lockstep order.
-class CtaSource {
- public:
-  virtual ~CtaSource() = default;
-  /// Next CTA to place in a freed slot, or nullopt when the grid is drained.
-  virtual std::optional<CtaCoord> next() = 0;
-  /// How many CTAs have been handed out so far.
-  [[nodiscard]] virtual std::uint64_t issued() const = 0;
-};
-
-/// Dispenses a grid_x x grid_y grid in hardware launch order (x fastest).
-class GridCtaSource final : public CtaSource {
- public:
-  GridCtaSource(std::uint32_t grid_x, std::uint32_t grid_y, std::uint32_t grid_z = 1)
-      : grid_x_(grid_x),
-        plane_(static_cast<std::uint64_t>(grid_x) * grid_y),
-        total_(static_cast<std::uint64_t>(grid_x) * grid_y * grid_z) {}
-
-  std::optional<CtaCoord> next() override {
-    if (issued_ >= total_) return std::nullopt;
-    const std::uint64_t i = issued_++;
-    const std::uint64_t p = i % plane_;
-    return CtaCoord{static_cast<std::uint32_t>(p % grid_x_),
-                    static_cast<std::uint32_t>(p / grid_x_),
-                    static_cast<std::uint32_t>(i / plane_)};
-  }
-
-  [[nodiscard]] std::uint64_t issued() const override { return issued_; }
-
- private:
-  std::uint32_t grid_x_;
-  std::uint64_t plane_;
-  std::uint64_t total_;
-  std::uint64_t issued_ = 0;
-};
-
-/// Dispenses the grid in an arbitrary LaunchOrder (supertile, serpentine,
-/// Hilbert) via a CtaOrderMap.
-class OrderedCtaSource final : public CtaSource {
- public:
-  OrderedCtaSource(LaunchOrder order, std::uint32_t grid_x, std::uint32_t grid_y,
-                   int supertile_width, std::uint32_t grid_z = 1)
-      : order_(order),
-        supertile_width_(supertile_width),
-        grid_z_(grid_z),
-        map_(order, grid_x, grid_y, supertile_width) {}
-
-  std::optional<CtaCoord> next() override {
-    if (issued_ >= map_.total() * grid_z_) return std::nullopt;
-    // z-outer: each z plane re-walks the same 2D curve from its start.
-    if (issued_ > 0 && issued_ % map_.total() == 0) {
-      map_ = CtaOrderMap(order_, map_.grid_x(), map_.grid_y(), supertile_width_);
-    }
-    const auto z = static_cast<std::uint32_t>(issued_ / map_.total());
-    ++issued_;
-    const auto [x, y] = map_.next();
-    return CtaCoord{x, y, z};
-  }
-
-  [[nodiscard]] std::uint64_t issued() const override { return issued_; }
-
- private:
-  LaunchOrder order_;
-  int supertile_width_;
-  std::uint64_t grid_z_;
-  CtaOrderMap map_;
-  std::uint64_t issued_ = 0;
-};
-
-/// Source matching `launch.launch_order`: the exact GridCtaSource for the
-/// row-major-dispatched orders (kRowMajor, kSwizzled), an OrderedCtaSource
-/// otherwise.
-[[nodiscard]] std::unique_ptr<CtaSource> make_cta_source(const Launch& launch);
-
-/// Device-level memory resources shared by every SM of a full-device
-/// simulation: one DRAM budget, one L2 bandwidth budget and one L2 tag
-/// array. A TimedSm bound to a SharedMemSystem charges its global traffic
-/// here instead of to its private per-SM budgets, so bandwidth contention
-/// and inter-CTA L2 reuse across SMs emerge from simulation.
-struct SharedMemSystem {
-  explicit SharedMemSystem(const device::DeviceSpec& spec)
-      : dram_bw(spec.dram_bytes_per_cycle()),
-        l2_bw(spec.l2_bytes_per_cycle()),
-        l2(spec.l2_size_bytes, spec.l2_ways) {}
-
-  mem::MultiClientBucket dram_bw;
-  mem::MultiClientBucket l2_bw;
-  mem::SectorCache l2;
-
-  /// Device-wide L2 sector hit rate observed so far.
-  [[nodiscard]] double l2_hit_rate() const { return l2.stats().hit_rate(); }
-};
+struct MemSystem;
 
 struct TimedConfig {
   device::DeviceSpec spec;
@@ -152,6 +53,10 @@ struct TimedConfig {
   /// L1-missing sectors. Used by the wave model, which computes inter-CTA
   /// reuse analytically (a single simulated SM cannot observe it).
   double forced_l2_hit_rate = -1.0;
+
+  /// A rate >= 0 pins the L2 hit fraction; any other value (negative or NaN)
+  /// leaves L2 hits emergent from a tag array.
+  [[nodiscard]] bool l2_pinned() const { return forced_l2_hit_rate >= 0.0; }
 
   /// Skip the FP16 arithmetic of MMA instructions (pipe occupancy, latency
   /// and writeback scheduling are unchanged). Register values become
@@ -173,13 +78,35 @@ struct TimedConfig {
   StateProbe* probe = nullptr;
 
   /// When set, this SM is one client of a full-device simulation: global
-  /// traffic is charged to the shared DRAM/L2 budgets and the shared L2 tag
-  /// array instead of the private per-SM budgets above (which are then
-  /// unused). `forced_l2_hit_rate` and `sm_id` still apply.
-  SharedMemSystem* shared = nullptr;
+  /// traffic is charged to this shared memory system instead of one the SM
+  /// builds from the budgets above (which are then unused).
+  /// `forced_l2_hit_rate` and `sm_id` still apply.
+  MemSystem* shared = nullptr;
 
   /// Identity of this SM inside a TimedDevice (address hashing / debugging).
   int sm_id = 0;
+};
+
+/// The memory system global traffic is charged to: one DRAM budget, one L2
+/// bandwidth budget and, unless the L2 hit fraction is pinned, one L2 tag
+/// array. A standalone TimedSm builds its own at begin(); a TimedDevice
+/// shares one among its SMs, so bandwidth contention and inter-CTA L2 reuse
+/// across SMs emerge from simulation.
+struct MemSystem {
+  /// The budgets of `cfg`, the full device's by default. The tag array is
+  /// built only when `cfg` leaves L2 hits emergent: a pinned rate probes
+  /// none, so none is zero-filled.
+  explicit MemSystem(const TimedConfig& cfg)
+      : dram_bw(cfg.dram_bytes_per_cycle > 0 ? cfg.dram_bytes_per_cycle
+                                             : cfg.spec.dram_bytes_per_cycle()),
+        l2_bw(cfg.l2_bytes_per_cycle > 0 ? cfg.l2_bytes_per_cycle
+                                         : cfg.spec.l2_bytes_per_cycle()) {
+    if (!cfg.l2_pinned()) l2.emplace(cfg.spec.l2_size_bytes, cfg.spec.l2_ways);
+  }
+
+  mem::TokenBucket dram_bw;
+  mem::TokenBucket l2_bw;
+  std::optional<mem::SectorCache> l2;
 };
 
 class TimedSm {

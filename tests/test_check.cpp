@@ -10,7 +10,7 @@
 #include "core/config.hpp"
 #include "core/kernel_gen.hpp"
 #include "sass/builder.hpp"
-#include "sim/pipes.hpp"
+#include "sass/latency.hpp"
 
 namespace tc::check {
 namespace {
@@ -89,13 +89,13 @@ TEST(Hazard, SplitMmaWritebackHighHalfNeedsMoreTime) {
   // after kMmaLatencyHigh. A stall covering only the low half leaves reads
   // of the high half racy.
   KernelBuilder low("mma_low");
-  low.hmma_1688_f32(Reg{8}, Reg{16}, Reg{20}, Reg{8}).stall(static_cast<int>(sim::kMmaLatencyLow));
+  low.hmma_1688_f32(Reg{8}, Reg{16}, Reg{20}, Reg{8}).stall(sass::kMmaLatencyLow);
   low.mov(Reg{12}, Reg{8}).stall(4);  // low half: committed exactly at issue
   low.exit();
   EXPECT_EQ(sass::count_errors(find_hazards(low.finalize())), 0);
 
   KernelBuilder high("mma_high");
-  high.hmma_1688_f32(Reg{8}, Reg{16}, Reg{20}, Reg{8}).stall(static_cast<int>(sim::kMmaLatencyLow));
+  high.hmma_1688_f32(Reg{8}, Reg{16}, Reg{20}, Reg{8}).stall(sass::kMmaLatencyLow);
   high.mov(Reg{12}, Reg{11}).stall(4);  // high half: 4 cycles short
   high.exit();
   const auto diags = find_hazards(high.finalize());

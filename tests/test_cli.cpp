@@ -577,6 +577,36 @@ TEST(CliContract, LateFailuresLeaveJsonAsItWas) {
   std::filesystem::remove(out);
 }
 
+TEST(CliContract, JsonRefusesItsOwnStandardStreams) {
+  // Renaming the --json document over the file standard output or error is
+  // redirected to would unlink that file, and what the command printed
+  // would be lost with it. The command exits 1 naming the path instead, and
+  // the file keeps the disassembly.
+  const auto tmp = std::filesystem::temp_directory_path();
+  const auto want = tmp / "tc_cli_own_stream_want.txt";
+  const auto out = tmp / "tc_cli_own_stream_out.txt";
+  const auto err = tmp / "tc_cli_own_stream_err.txt";
+  const std::string disasm = std::string(TC_CLI_BIN) + " disasm --m 64 --n 64 --k 64";
+  ASSERT_EQ(std::system((disasm + " > " + want.string()).c_str()), 0);
+  const std::string text = read_file(want);
+  ASSERT_NE(text.find(".kernel"), std::string::npos);
+  for (const auto& [json, stream] : {std::pair{std::string("/dev/stdout"), "standard output"},
+                                     std::pair{out.string(), "standard output"},
+                                     std::pair{err.string(), "standard error"}}) {
+    std::filesystem::remove(out);
+    std::filesystem::remove(err);
+    const std::string cmd =
+        disasm + " --json " + json + " > " + out.string() + " 2> " + err.string();
+    const int rc = std::system(cmd.c_str());
+    EXPECT_EQ(WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, 1) << cmd;
+    EXPECT_NE(read_file(err).find("error: cannot write " + json + ": it is " + stream),
+              std::string::npos)
+        << cmd << ": " << read_file(err);
+    EXPECT_TRUE(read_file(out) == text) << cmd << ": the disassembly is gone";
+  }
+  for (const auto& f : {want, out, err}) std::filesystem::remove(f);
+}
+
 TEST(CliContract, CacheDiagnosticNamesNoBuildPath) {
   // A TC_CHECK message names its source by its path in the repository
   // (src/...:N:), never by the absolute path it was built from.

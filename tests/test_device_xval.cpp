@@ -322,7 +322,7 @@ TEST(DeviceXval, TotalIsTheFoldOfPerSm) {
 }
 
 /// TimedDevice::run as it was before event skip, over the public TimedSm
-/// API: one TimedSm per SM on a SharedMemSystem, every SM stepping every
+/// API: one TimedSm per SM on a shared MemSystem, every SM stepping every
 /// cycle, the round's first SM rotating with the cycle. The oracle the
 /// event-skipping device is held to.
 sim::DeviceResult run_lockstep_device(const sim::TimedDeviceConfig& dc,
@@ -330,18 +330,18 @@ sim::DeviceResult run_lockstep_device(const sim::TimedDeviceConfig& dc,
   const auto per_sm = static_cast<std::uint64_t>(dc.ctas_per_sm);
   const int sms_used = static_cast<int>(std::min<std::uint64_t>(
       static_cast<std::uint64_t>(dc.spec.num_sms), (launch.num_ctas() + per_sm - 1) / per_sm));
-  const std::unique_ptr<sim::CtaSource> source = sim::make_cta_source(launch);
-  sim::SharedMemSystem shared(dc.spec);
+  sim::CtaSource source(launch);
+  sim::TimedConfig tc;
+  tc.spec = dc.spec;
+  tc.skip_mma_math = dc.skip_mma_math;
+  tc.forced_l2_hit_rate = dc.forced_l2_hit_rate;
+  sim::MemSystem shared(tc);
+  tc.shared = &shared;
   std::vector<std::unique_ptr<sim::TimedSm>> sms;
   for (int i = 0; i < sms_used; ++i) {
-    sim::TimedConfig tc;
-    tc.spec = dc.spec;
-    tc.skip_mma_math = dc.skip_mma_math;
-    tc.forced_l2_hit_rate = dc.forced_l2_hit_rate;
-    tc.shared = &shared;
     tc.sm_id = i;
     sms.push_back(std::make_unique<sim::TimedSm>(tc, gmem));
-    sms.back()->begin(launch, *source, dc.ctas_per_sm);
+    sms.back()->begin(launch, source, dc.ctas_per_sm);
   }
   for (std::uint64_t round = 0, any = 1; any != 0; ++round) {
     any = 0;
@@ -360,8 +360,8 @@ sim::DeviceResult run_lockstep_device(const sim::TimedDeviceConfig& dc,
     res.total += res.per_sm.back();
   }
   res.device_cycles = res.total.cycles;
-  res.l2_hit_rate = dc.forced_l2_hit_rate >= 0.0 ? dc.forced_l2_hit_rate : shared.l2_hit_rate();
-  res.ctas_run = source->issued();
+  res.l2_hit_rate = tc.l2_pinned() ? dc.forced_l2_hit_rate : shared.l2->stats().hit_rate();
+  res.ctas_run = source.issued();
   return res;
 }
 
@@ -482,7 +482,8 @@ TEST(DeviceXval, LockstepRunsAreBitwiseRepeatable) {
 
   // Two runs of one DRAM-bound, emergent-L2 grid (cublas_like on T4, two
   // CTAs per SM) agree on every field: the shared L2 tag array and both
-  // shared bandwidth buckets under contention, and the OrderedCtaSource.
+  // shared bandwidth buckets under contention, and the Hilbert-ordered
+  // CtaSource.
   const auto spec = device::t4();
   const auto cfg = core::HgemmConfig::cublas_like();
   const GemmShape shape{1024, 512, 128};  // 4 x 8 CTAs on 16 SMs

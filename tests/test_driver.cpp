@@ -58,14 +58,6 @@ TEST(Device, TimingPresetsScaleBandwidth) {
   EXPECT_NEAR(whole.l2_bytes_per_cycle / share.l2_bytes_per_cycle, 36.0, 1e-9);
 }
 
-TEST(EventPair, ConvertsCyclesToTime) {
-  const auto spec = device::rtx2070();
-  EventPair ev(spec);
-  ev.record(1.62e9);  // one second worth of cycles at 1.62 GHz
-  EXPECT_NEAR(ev.elapsed_s(), 1.0, 1e-9);
-  EXPECT_NEAR(ev.elapsed_ms(), 1000.0, 1e-6);
-}
-
 TEST(Spec, PeaksMatchPaper) {
   // Paper Table II: 59.7 TFLOPS (RTX2070) and 65 TFLOPS (T4).
   EXPECT_NEAR(device::rtx2070().tensor_peak_flops() / 1e12, 59.7, 0.2);

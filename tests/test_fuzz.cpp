@@ -211,7 +211,7 @@ void run_timed(const FuzzCase& c, bool skip, TimedOutcome& o) {
   cfg.profiler = &o.profiler;
   cfg.probe = &o.probe;
   sim::TimedSm sm(cfg, gmem);
-  sim::GridCtaSource source(1, 1);
+  sim::CtaSource source(launch);
   try {
     sm.begin(launch, source, 1);
     if (skip) {

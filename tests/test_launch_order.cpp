@@ -3,14 +3,14 @@
 // Three layers, cheapest first:
 //
 //  1. Property: the model-side trace generator (model::launch_trace) and the
-//     simulator-side dispenser (sim::CtaOrderMap) are independent
+//     simulator-side dispenser (sim::CtaSource) are independent
 //     implementations of every LaunchOrder; they must emit the *identical*
 //     permutation of the grid, and that sequence must be a bijection, for
 //     arbitrary grids including degenerate 1-row/1-col and non-pow2 sizes.
-//  2. Dispatch: OrderedCtaSource dispenses CtaOrderMap's sequence under
-//     contention, and the kSwizzled order remains bit-identical to the
-//     row-major GridCtaSource dispatch (its analytic patch is a model
-//     assumption, not a schedule change).
+//  2. Dispatch: CtaSource stops once the grid is drained, walks every z
+//     plane in the launch's order, and dispatches kSwizzled exactly as
+//     kRowMajor (its analytic patch is a model assumption, not a schedule
+//     change).
 //  3. Band: the stack-distance sampler's predicted L2 hit rate must land
 //     within 15 % of the TimedDevice's *emergent* sector-cache rate
 //     (pin_l2_hit_rate = false) for row-major and supertile orders on three
@@ -44,12 +44,23 @@ const LaunchOrder kAllOrders[] = {LaunchOrder::kRowMajor, LaunchOrder::kSwizzled
                                   LaunchOrder::kSupertile, LaunchOrder::kSerpentine,
                                   LaunchOrder::kHilbert};
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>> drain_map(LaunchOrder order,
-                                                               std::uint32_t gx,
-                                                               std::uint32_t gy, int width) {
-  sim::CtaOrderMap map(order, gx, gy, width);
+sim::Launch grid_launch(LaunchOrder order, std::uint32_t gx, std::uint32_t gy, int width,
+                        std::uint32_t gz = 1) {
+  sim::Launch launch;
+  launch.launch_order = order;
+  launch.grid_x = gx;
+  launch.grid_y = gy;
+  launch.grid_z = gz;
+  launch.supertile_width = width;
+  return launch;
+}
+
+std::vector<std::pair<std::uint32_t, std::uint32_t>> drain_source(LaunchOrder order,
+                                                                  std::uint32_t gx,
+                                                                  std::uint32_t gy, int width) {
+  sim::CtaSource src(grid_launch(order, gx, gy, width));
   std::vector<std::pair<std::uint32_t, std::uint32_t>> seq;
-  for (std::uint64_t i = 0; i < map.total(); ++i) seq.push_back(map.next());
+  while (const auto c = src.next()) seq.emplace_back(c->x, c->y);
   return seq;
 }
 
@@ -61,7 +72,7 @@ TEST(LaunchOrderProperty, TraceAndSourceEmitTheSameBijection) {
     for (const LaunchOrder order : kAllOrders) {
       for (const int w : widths) {
         const auto trace = model::launch_trace(order, gx, gy, w);
-        const auto dispatched = drain_map(order, gx, gy, w);
+        const auto dispatched = drain_source(order, gx, gy, w);
         ASSERT_EQ(trace.size(), static_cast<std::size_t>(gx) * gy)
             << sim::launch_order_name(order) << " " << gx << "x" << gy << " w" << w;
         ASSERT_EQ(trace, dispatched)
@@ -96,7 +107,7 @@ TEST(LaunchOrderProperty, NameRoundTrips) {
 }
 
 TEST(LaunchOrderDispatch, OrderedSourceDispensesMapSequenceThenStops) {
-  sim::OrderedCtaSource src(LaunchOrder::kSupertile, 6, 4, 2);
+  sim::CtaSource src(grid_launch(LaunchOrder::kSupertile, 6, 4, 2));
   const auto expect = model::launch_trace(LaunchOrder::kSupertile, 6, 4, 2);
   for (const auto& [x, y] : expect) {
     const auto got = src.next();
@@ -109,36 +120,25 @@ TEST(LaunchOrderDispatch, OrderedSourceDispensesMapSequenceThenStops) {
 }
 
 TEST(LaunchOrderDispatch, GridSourceIsXFastestOnArbitraryGrids) {
-  // timed_device reasons about co-residency from GridCtaSource's documented
-  // "hardware launch order (x fastest)"; pin the dispenser to the row-major
-  // order map on a non-power-of-two grid so the swizzled sources can't
-  // silently change the baseline dispatch.
-  sim::GridCtaSource src(13, 7);
-  const auto want = model::launch_trace(LaunchOrder::kRowMajor, 13, 7, 8);
-  for (const auto& [x, y] : want) {
-    const auto got = src.next();
-    ASSERT_TRUE(got.has_value());
-    ASSERT_EQ(got->x, x);
-    ASSERT_EQ(got->y, y);
-  }
-  EXPECT_FALSE(src.next().has_value());
-}
-
-TEST(LaunchOrderDispatch, FactoryKeepsGridSourceForRowMajorOrders) {
-  // make_cta_source must hand kRowMajor/kSwizzled to the plain grid
-  // dispenser (the timed device's co-residency reasoning depends on the
-  // x-fastest order; see test_scheduling's GridCtaSource regression).
-  sim::Launch launch;
-  launch.grid_x = 5;
-  launch.grid_y = 3;
+  // timed_device reasons about co-residency from the documented hardware
+  // launch order (x fastest) of kRowMajor and kSwizzled; pin the source to
+  // the row-major trace on a non-power-of-two grid, in each z plane, so the
+  // locality-preserving orders can't silently change the baseline dispatch.
+  const auto plane = model::launch_trace(LaunchOrder::kRowMajor, 13, 7, 8);
   for (const LaunchOrder order : {LaunchOrder::kRowMajor, LaunchOrder::kSwizzled}) {
-    launch.launch_order = order;
-    const auto src = sim::make_cta_source(launch);
-    ASSERT_NE(dynamic_cast<sim::GridCtaSource*>(src.get()), nullptr);
+    sim::CtaSource src(grid_launch(order, 13, 7, 8, 3));
+    for (std::uint32_t z = 0; z < 3; ++z) {
+      for (const auto& [x, y] : plane) {
+        const auto got = src.next();
+        ASSERT_TRUE(got.has_value());
+        ASSERT_EQ(got->x, x);
+        ASSERT_EQ(got->y, y);
+        ASSERT_EQ(got->z, z);
+      }
+    }
+    EXPECT_FALSE(src.next().has_value());
+    EXPECT_EQ(src.issued(), 3 * plane.size());
   }
-  launch.launch_order = LaunchOrder::kSerpentine;
-  const auto ordered = sim::make_cta_source(launch);
-  ASSERT_NE(dynamic_cast<sim::OrderedCtaSource*>(ordered.get()), nullptr);
 }
 
 // --- sampler vs. emergent L2: the 15 % band --------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <vector>
@@ -350,11 +351,10 @@ TEST(Coalescer, MatchesSortedVectorOracle) {
 }
 
 TEST(TokenBucket, ConsumeWithDebtDelaysByDebtOverRate) {
-  TokenBucket tb(4.0, 1.0);  // 4 B/cycle, burst floored to 1024 B, full at start
-  EXPECT_EQ(tb.consume_with_debt(1000.0), 0.0);  // covered by the burst credit
-  EXPECT_EQ(tb.consume_with_debt(64.0), 10.0);   // 40 B of debt at 4 B/cycle
-  tb.tick();                                      // one cycle repays 4 B
-  EXPECT_EQ(tb.consume_with_debt(0.0), 9.0);
+  TokenBucket tb(4.0);  // 4 B/cycle, burst floored to 1024 B, full at start
+  EXPECT_EQ(tb.consume(1000.0, 0), 0.0);  // covered by the burst credit
+  EXPECT_EQ(tb.consume(64.0, 0), 10.0);   // 40 B of debt at 4 B/cycle
+  EXPECT_EQ(tb.consume(0.0, 1), 9.0);     // one cycle repays 4 B
 }
 
 TEST(TokenBucket, SustainedWithdrawalConvergesToRate) {
@@ -365,65 +365,105 @@ TEST(TokenBucket, SustainedWithdrawalConvergesToRate) {
   const int n = 10000;
   double last_done = 0.0;
   for (int cycle = 0; cycle < n; ++cycle) {
-    tb.tick();
-    last_done = cycle + tb.consume_with_debt(64.0);
+    last_done = cycle + tb.consume(64.0, static_cast<std::uint64_t>(cycle));
   }
   EXPECT_NEAR(64.0 * n / last_done, 8.0, 0.05);
 }
 
-TEST(TokenBucket, MultiCycleTickEqualsSingleTicksBitwise) {
-  // The timed engine replays a skipped idle stretch with tick(n), so it must
-  // land on exactly the credit n single ticks reach. A per-SM DRAM share is
-  // a fractional rate, where rate * n rounds differently from a running sum.
-  const double rate = device::rtx2070().dram_bytes_per_cycle_per_sm();
-  struct Start {
-    const char* name;
-    double withdrawn;  // taken from the full bucket before the window
-    std::uint64_t window;
-  };
-  const Start starts[] = {
-      {"full credit", 0.0, 500},
-      {"deep debt", 1e6, 5000},             // still in debt after the window
-      {"crossing the cap", 4096.0, 1000},   // refills to the cap mid-window
-  };
-  for (const Start& s : starts) {
-    for (const std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{3},
-                                  s.window / 2, s.window}) {
-      TokenBucket bulk(rate);
-      TokenBucket single(rate);
-      (void)bulk.consume_with_debt(s.withdrawn);
-      (void)single.consume_with_debt(s.withdrawn);
-      bulk.tick(n);
-      for (std::uint64_t i = 0; i < n; ++i) single.tick();
-      EXPECT_EQ(bulk.credit(), single.credit()) << s.name << ", " << n << " cycles";
-    }
+/// The bucket a standalone timed SM used to own: tick() at the top of every
+/// simulated cycle, then withdraw.
+class PerCycleBucket {
+ public:
+  explicit PerCycleBucket(double rate)
+      : rate_(rate), cap_(std::max(rate * 64.0, 1024.0)), credit_(cap_) {}
+  void tick() { credit_ = std::min(cap_, credit_ + rate_); }
+  double withdraw(double bytes) {
+    credit_ -= bytes;
+    return credit_ >= 0.0 ? 0.0 : -credit_ / rate_;
   }
-  // The windows do reach the regimes they are named for.
-  TokenBucket debt(rate);
-  (void)debt.consume_with_debt(1e6);
-  debt.tick(5000);
-  EXPECT_LT(debt.credit(), 0.0);
-  TokenBucket refill(rate);
-  const double cap = refill.credit();
-  (void)refill.consume_with_debt(4096.0);
-  refill.tick(1000);
-  EXPECT_EQ(refill.credit(), cap);
+  [[nodiscard]] double cap() const { return cap_; }
+  [[nodiscard]] double credit() const { return credit_; }
+
+ private:
+  double rate_;
+  double cap_;
+  double credit_;
+};
+
+TEST(TokenBucket, ConsumeMatchesPerCycleTicksBitwise) {
+  // consume() accrues the cycles since its last call one at a time, so it
+  // returns exactly the delays of a bucket ticked every cycle. The rates are
+  // the fractional budgets the simulator runs (per SM and whole device), at
+  // which a closed-form `rate * gap` refill rounds differently.
+  std::vector<double> rates;
+  for (const auto& spec : {device::rtx2070(), device::t4()}) {
+    rates.insert(rates.end(), {spec.dram_bytes_per_cycle(), spec.dram_bytes_per_cycle_per_sm(),
+                               spec.l2_bytes_per_cycle(), spec.l2_bytes_per_cycle_per_sm()});
+  }
+  Rng rng(24);
+  for (const double rate : rates) {
+    TokenBucket bucket(rate);
+    PerCycleBucket ref(rate);
+    const double cap = ref.cap();
+    std::uint64_t now = 0;
+    int refilled_to_cap = 0;
+    int in_debt = 0;
+    for (int i = 0; i < 4000; ++i) {
+      std::uint64_t gap = 0;  // a second request in the same cycle
+      switch (rng.next_below(4)) {
+        case 0:
+          break;
+        case 1:
+          gap = 1;
+          break;
+        case 2:
+          gap = 2 + rng.next_below(7);
+          break;
+        default:  // past the refill to the cap
+          gap = static_cast<std::uint64_t>((cap - ref.credit()) / rate) + 1 + rng.next_below(64);
+          break;
+      }
+      double bytes = 0.0;
+      switch (rng.next_below(3)) {
+        case 0:
+          break;
+        case 1:  // below the cap, in 4 B lane granules
+          bytes = 4.0 * static_cast<double>(rng.next_below(static_cast<std::uint64_t>(cap / 4)));
+          break;
+        default:  // above the cap
+          bytes = cap + 4.0 * static_cast<double>(
+                                  rng.next_below(static_cast<std::uint64_t>(2 * cap / 4)));
+          break;
+      }
+      for (std::uint64_t c = 0; c < gap; ++c) ref.tick();
+      now += gap;
+      refilled_to_cap += ref.credit() == cap ? 1 : 0;
+      const double want = ref.withdraw(bytes);
+      const double got = bucket.consume(bytes, now);
+      in_debt += want > 0.0 ? 1 : 0;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "rate " << rate << ", request " << i << ": " << got << " vs " << want;
+    }
+    // The draws do reach both regimes.
+    EXPECT_GT(refilled_to_cap, 100) << rate;
+    EXPECT_GT(in_debt, 100) << rate;
+  }
 }
 
-TEST(MultiClientBucket, CreditAccruesFromTimestampGap) {
-  MultiClientBucket b(4.0, 1.0);  // 4 B/cycle, burst floored to 1024 B
-  EXPECT_EQ(b.consume(1024.0, 0.0), 0.0);  // drains the burst credit
-  EXPECT_EQ(b.consume(40.0, 10.0), 0.0);   // 10 elapsed cycles accrued 40 B
-  EXPECT_EQ(b.consume(8.0, 10.0), 2.0);    // same cycle: nothing accrues
-  EXPECT_EQ(b.consume(0.0, 12.0), 0.0);    // two more cycles repay the debt
+TEST(TokenBucket, CreditAccruesFromTimestampGap) {
+  TokenBucket b(4.0);  // 4 B/cycle, burst floored to 1024 B
+  EXPECT_EQ(b.consume(1024.0, 0), 0.0);  // drains the burst credit
+  EXPECT_EQ(b.consume(40.0, 10), 0.0);   // 10 elapsed cycles accrued 40 B
+  EXPECT_EQ(b.consume(8.0, 10), 2.0);    // same cycle: nothing accrues
+  EXPECT_EQ(b.consume(0.0, 12), 0.0);    // two more cycles repay the debt
 }
 
-TEST(MultiClientBucket, CreditStopsAtBurstCap) {
-  MultiClientBucket b(4.0, 1.0);
-  EXPECT_EQ(b.consume(1024.0, 0.0), 0.0);
+TEST(TokenBucket, CreditStopsAtBurstCap) {
+  TokenBucket b(4.0);
+  EXPECT_EQ(b.consume(1024.0, 0), 0.0);
   // 10000 idle cycles would accrue 40000 B; the cap keeps 1024 B, so the
   // 40 B beyond it is debt.
-  EXPECT_EQ(b.consume(1064.0, 10000.0), 10.0);
+  EXPECT_EQ(b.consume(1064.0, 10000), 10.0);
 }
 
 }  // namespace

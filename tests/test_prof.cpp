@@ -382,7 +382,7 @@ TEST(Prof, CountersArePinned) {
         tc.forced_l2_hit_rate = 0.5;
         if (profiled) tc.profiler = &profiler;
         std::vector<sim::CtaCoord> ctas;
-        sim::GridCtaSource source(c.grid_x, c.grid_y, c.grid_z);
+        sim::CtaSource source(launch);
         while (const auto cta = source.next()) ctas.push_back(*cta);
         sim::TimedSm sm(tc, gmem);
         const auto counts = sm.run(launch, ctas);

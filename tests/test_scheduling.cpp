@@ -164,7 +164,7 @@ double refill_cycles(int grid_ctas, int resident) {
   tc.forced_l2_hit_rate = 0.5;
   tc.skip_mma_math = true;
   sim::TimedSm sm(tc, gmem);
-  sim::GridCtaSource source(launch.grid_x, launch.grid_y);
+  sim::CtaSource source(launch);
   sm.begin(launch, source, resident);
   while (sm.step()) {
   }
@@ -209,7 +209,7 @@ TEST(Scheduling, RespawnProbeCapturesRetiringCtaCoords) {
   tc.spec = device::rtx2070();
   tc.probe = &probe;
   sim::TimedSm sm(tc, gmem);
-  sim::GridCtaSource source(launch.grid_x, launch.grid_y);
+  sim::CtaSource source(launch);
   sm.begin(launch, source, 2);  // 4 CTAs through 2 slots -> 2 respawn captures
   while (sm.step()) {
   }
@@ -228,8 +228,11 @@ TEST(Scheduling, RespawnProbeCapturesRetiringCtaCoords) {
   }
 }
 
-TEST(Scheduling, GridCtaSourceDispensesInLaunchOrder) {
-  sim::GridCtaSource src(3, 2);
+TEST(Scheduling, CtaSourceDispensesInLaunchOrder) {
+  sim::Launch launch;
+  launch.grid_x = 3;
+  launch.grid_y = 2;
+  sim::CtaSource src(launch);
   const std::pair<std::uint32_t, std::uint32_t> want[] = {{0, 0}, {1, 0}, {2, 0},
                                                           {0, 1}, {1, 1}, {2, 1}};
   for (const auto& [x, y] : want) {
@@ -280,7 +283,7 @@ TEST(Scheduling, CtaRefillMatchesFunctionalResult) {
   sim::TimedConfig tc;
   tc.spec = tdev.spec();
   sim::TimedSm sm(tc, tdev.gmem());  // full math: results must be real
-  sim::GridCtaSource source(2, 2);
+  sim::CtaSource source(tlaunch);
   sm.begin(tlaunch, source, 2);
   while (sm.step()) {
   }
@@ -399,7 +402,7 @@ SmRecord run_sm_case(const SmCase& c, const device::DeviceSpec& spec, SmDriver d
     tc.probe = &probe;
   }
   sim::TimedSm sm(tc, gmem);
-  sim::GridCtaSource source(c.grid_x, c.grid_y, c.grid_z);
+  sim::CtaSource source(launch);
   if (driver == SmDriver::kRun) {
     std::vector<sim::CtaCoord> ctas;
     while (const auto cta = source.next()) ctas.push_back(*cta);
@@ -469,6 +472,38 @@ TEST(Scheduling, EventSkipMatchesSteppingEveryCycle) {
   }
 }
 
+TEST(Scheduling, ReusedSmStartsLikeAFreshOne) {
+  // begin() builds the L1 tags and a standalone SM's memory system afresh,
+  // so a second run on one TimedSm reports what a fresh SM reports.
+  // cublas_like at T4's per-SM share with an emergent L2 runs into
+  // bandwidth debt and leaves L1 and L2 tags behind, any of which would
+  // carry over into the second run.
+  const SmCase c = testsupport::kernel_gen_cases()[1];
+  ASSERT_EQ(c.name, "cublas_like");
+  const auto spec = device::t4();
+  mem::GlobalMemory gmem;
+  const sim::Launch launch = testsupport::make_launch(c, gmem);
+  sim::TimedConfig tc;
+  tc.spec = spec;
+  tc.dram_bytes_per_cycle = spec.dram_bytes_per_cycle_per_sm();
+  tc.l2_bytes_per_cycle = spec.l2_bytes_per_cycle_per_sm();
+  const auto run = [&](sim::TimedSm& sm) {
+    sim::CtaSource source(launch);
+    sm.begin(launch, source, c.resident);
+    do {
+      sm.skip_to(sm.idle_until());
+    } while (sm.step());
+    return sm.finish();
+  };
+  sim::TimedSm fresh(tc, gmem);
+  const prof::CounterSet want = run(fresh);
+  EXPECT_GT(want.mio_bw_stall, 0u);
+  EXPECT_GT(want.l1_sectors, 0u);
+  sim::TimedSm reused(tc, gmem);
+  (void)run(reused);
+  testsupport::expect_same_counters(run(reused), want);
+}
+
 TEST(Scheduling, EventSkipReplaysWritebacksAtTheirDueCycles) {
   // A load into R4, then a MOV to R4 that is due hundreds of cycles before
   // the load's data. The warp waits at the scoreboard in between, so lockstep
@@ -520,7 +555,7 @@ TEST(Scheduling, MaxCyclesStopsARunawayKernelAtTheLimit) {
       SCOPED_TRACE("limit " + std::to_string(limit) + ", driver " +
                    std::to_string(static_cast<int>(driver)));
       sim::TimedSm sm(tc, gmem);
-      sim::GridCtaSource source(1, 1);
+      sim::CtaSource source(launch);
       try {
         if (driver == SmDriver::kRun) {
           const sim::CtaCoord cta{0, 0};
