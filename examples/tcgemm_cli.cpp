@@ -2,10 +2,12 @@
 // flags each one takes and their defaults are the table in commands() below;
 // tcgemm_cli with no command prints the usage text made from it. Every
 // command takes --json PATH for a tc-cli-v1 document, written once the
-// command has finished.
+// command has finished. Two output flags that name one file are refused
+// before the command runs.
 #include <algorithm>
 #include <climits>
 #include <cstring>
+#include <filesystem>
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -105,6 +107,16 @@ const std::vector<Command>& commands() {
     };
   }();
   return table;
+}
+
+/// Whether two output paths name one file: each is made absolute and then
+/// resolved as write_file resolves it, so "./x.json" and "x.json" do.
+bool same_file(const std::string& x, const std::string& y) {
+  namespace fs = std::filesystem;
+  std::error_code ex, ey;
+  const fs::path px = fs::weakly_canonical(fs::absolute(x, ex), ex);
+  const fs::path py = fs::weakly_canonical(fs::absolute(y, ey), ey);
+  return !ex && !ey && px == py;
 }
 
 int usage() {
@@ -852,6 +864,17 @@ int main(int argc, char** argv) {
           throw Error("perf --engine device does not take " + flag);
         }
         if (!flags.given("--profile")) throw Error("perf " + flag + " needs --profile");
+      }
+    }
+    // Two outputs written to one file would replace each other.
+    const std::vector<std::string> outputs = {"--json", "--trace-out", "--cache"};
+    for (std::size_t x = 0; x < outputs.size(); ++x) {
+      for (std::size_t y = x + 1; y < outputs.size(); ++y) {
+        if (flags.given(outputs[x]) && flags.given(outputs[y]) &&
+            same_file(flags.text(outputs[x]), flags.text(outputs[y]))) {
+          throw Error(outputs[x] + " " + flags.text(outputs[x]) + " and " + outputs[y] + " " +
+                      flags.text(outputs[y]) + " name one file");
+        }
       }
     }
     auto cfg = flags.given("--baseline") ? core::HgemmConfig::cublas_like()

@@ -69,6 +69,10 @@ echo "== numerics gate: executor-vs-engine check =="
 [[ "$(nm -C build/src/numerics/libtc_numerics.a | grep -c idealized_sum)" == 1 ]] ||
   { echo "idealized_sum is not exactly one emitted copy"; exit 1; }
 ./build/examples/tcgemm_cli run --m 64 --n 64 --k 64 --numerics bitaccurate --check >/dev/null
+# m, n and k off multiples of 8: the references' edge tiles and k tail.
+for mode in idealized bitaccurate; do
+  ./build/examples/tcgemm_cli run --m 100 --n 72 --k 37 --numerics "$mode" --check >/dev/null
+done
 ./build/examples/tcgemm_cli numerics --k 256 >/dev/null
 
 echo "== tuner smoke: ranked search on both specs =="

@@ -21,25 +21,52 @@ double rel_err(double v, double ref) {
   return std::abs(v - ref) / denom;
 }
 
-/// C(i, j) = `step` chained left to right over row i of A and row j of B^T
-/// in k-chunks of `width` (the last one may be shorter), starting from +0.
-template <typename Acc, typename Step>
-HostMatrix<Acc> chain_k(const HalfMatrix& a, const HalfMatrix& bt, std::size_t width,
-                        Step step) {
+/// `acc` chained left to right through dot_f16 over x[from, k) and
+/// y[from, k) in k-chunks of 8, the last one possibly shorter: the walk of
+/// one output element.
+half chain_f16(NumericsMode mode, half acc, const half* x, const half* y, std::size_t from,
+               std::size_t k) {
+  for (std::size_t l = from; l < k; l += 8) {
+    acc = dot_f16(mode, acc, x + l, y + l, static_cast<int>(std::min<std::size_t>(8, k - l)));
+  }
+  return acc;
+}
+
+/// C = A * B^T' in F16-accumulate HMMA math: each output element is
+/// chain_f16 from +0 over all of k. A full 8x8 output tile runs each full
+/// k-chunk through dot_f16_block on copied 8x8 tiles of A and B^T, so every
+/// operand is decoded once per tile instead of once per output element; the
+/// k tail, and every k-chunk of a tile on the m or n edge, take chain_f16
+/// per element. dot_f16_block is dot_f16 on every element, so the result is
+/// the same bit for bit.
+HalfMatrix gemm_f16(NumericsMode mode, const HalfMatrix& a, const HalfMatrix& bt) {
   check_shapes(a, bt);
   const std::size_t m = a.rows();
   const std::size_t n = bt.rows();
   const std::size_t k = a.cols();
-  HostMatrix<Acc> c(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    const half* arow = a.data() + i * k;  // rows are contiguous (row-major)
-    for (std::size_t j = 0; j < n; ++j) {
-      const half* brow = bt.data() + j * k;
-      Acc acc(0.0f);
-      for (std::size_t l = 0; l < k; l += width) {
-        acc = step(acc, arow + l, brow + l, static_cast<int>(std::min(width, k - l)));
+  HalfMatrix c(m, n);
+  half* out = c.data();  // row-major, like A and B^T
+  for (std::size_t i0 = 0; i0 < m; i0 += 8) {
+    for (std::size_t j0 = 0; j0 < n; j0 += 8) {
+      const std::size_t rows = std::min<std::size_t>(8, m - i0);
+      const std::size_t cols = std::min<std::size_t>(8, n - j0);
+      const std::size_t blocked_k = rows == 8 && cols == 8 ? k - k % 8 : 0;
+      half acc[64] = {};  // +0
+      half ta[64];
+      half tb[64];
+      for (std::size_t l = 0; l < blocked_k; l += 8) {
+        for (std::size_t r = 0; r < 8; ++r) {
+          std::copy_n(a.data() + (i0 + r) * k + l, 8, ta + r * 8);
+          std::copy_n(bt.data() + (j0 + r) * k + l, 8, tb + r * 8);
+        }
+        dot_f16_block(mode, acc, ta, tb, acc);
       }
-      c.at(i, j) = acc;
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t s = 0; s < cols; ++s) {
+          out[(i0 + r) * n + j0 + s] = chain_f16(mode, acc[r * 8 + s], a.data() + (i0 + r) * k,
+                                                 bt.data() + (j0 + s) * k, blocked_k, k);
+        }
+      }
     }
   }
   return c;
@@ -47,26 +74,33 @@ HostMatrix<Acc> chain_k(const HalfMatrix& a, const HalfMatrix& bt, std::size_t w
 
 }  // namespace
 
-HalfMatrix gemm_bitacc_f16(const HalfMatrix& a, const HalfMatrix& bt,
-                           const GenerationModel& model) {
-  return chain_k<half>(a, bt, static_cast<std::size_t>(model.terms_per_step),
-                       [&](half acc, const half* x, const half* y, int width) {
-                         return fdp_step_f16(acc, x, y, width, model);
-                       });
+HalfMatrix gemm_bitacc_f16(const HalfMatrix& a, const HalfMatrix& bt) {
+  return gemm_f16(NumericsMode::kBitAccurate, a, bt);
 }
 
-FloatMatrix gemm_bitacc_f32(const HalfMatrix& a, const HalfMatrix& bt,
-                            const GenerationModel& model) {
-  return chain_k<float>(a, bt, static_cast<std::size_t>(model.terms_per_step),
-                        [&](float acc, const half* x, const half* y, int width) {
-                          return fdp_step_f32(acc, x, y, width, model);
-                        });
+FloatMatrix gemm_bitacc_f32(const HalfMatrix& a, const HalfMatrix& bt) {
+  check_shapes(a, bt);
+  const std::size_t m = a.rows();
+  const std::size_t n = bt.rows();
+  const std::size_t k = a.cols();
+  FloatMatrix c(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    const half* arow = a.data() + i * k;  // rows are contiguous (row-major)
+    for (std::size_t j = 0; j < n; ++j) {
+      const half* brow = bt.data() + j * k;
+      float acc = 0.0f;
+      for (std::size_t l = 0; l < k; l += 8) {
+        acc = dot_f32(NumericsMode::kBitAccurate, acc, arow + l, brow + l,
+                      static_cast<int>(std::min<std::size_t>(8, k - l)));
+      }
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
 }
 
 HalfMatrix gemm_idealized_f16(const HalfMatrix& a, const HalfMatrix& bt) {
-  return chain_k<half>(a, bt, 8, [](half acc, const half* x, const half* y, int width) {
-    return dot_f16(NumericsMode::kIdealized, acc, x, y, width);
-  });
+  return gemm_f16(NumericsMode::kIdealized, a, bt);
 }
 
 std::vector<double> gemm_oracle_f64(const HalfMatrix& a, const HalfMatrix& bt) {
@@ -103,8 +137,8 @@ std::vector<ErrorPoint> error_curves(const CurveOptions& opts) {
 
     const std::vector<double> oracle = gemm_oracle_f64(a, bt);
     const HalfMatrix ideal = gemm_idealized_f16(a, bt);
-    const HalfMatrix bit16 = gemm_bitacc_f16(a, bt, opts.model);
-    const FloatMatrix bit32 = gemm_bitacc_f32(a, bt, opts.model);
+    const HalfMatrix bit16 = gemm_bitacc_f16(a, bt);
+    const FloatMatrix bit32 = gemm_bitacc_f32(a, bt);
 
     ErrorPoint p;
     p.k = k;

@@ -24,21 +24,25 @@
 namespace tc::numerics {
 
 /// C = A * B^T' with bit-accurate FP16 accumulation: each output element is
-/// a left-to-right chain of `model.terms_per_step`-wide fused steps, the
-/// accumulator rounding to binary16 at every step boundary.
-[[nodiscard]] HalfMatrix gemm_bitacc_f16(const HalfMatrix& a, const HalfMatrix& bt,
-                                         const GenerationModel& model = GenerationModel{});
+/// a left-to-right chain of the Turing model's 4-wide fused steps
+/// (dot_f16(kBitAccurate) over k-chunks of 8), the accumulator rounding to
+/// binary16 at every step boundary.
+[[nodiscard]] HalfMatrix gemm_bitacc_f16(const HalfMatrix& a, const HalfMatrix& bt);
 
-/// Same walk with a binary32 accumulator (round-toward-zero per step under
-/// the default model), rounded to FP16 once at the very end — the HMMA
+/// Same walk with a binary32 accumulator (dot_f32(kBitAccurate): round-
+/// toward-zero per step), rounded to FP16 once at the very end — the HMMA
 /// .F32 epilogue-store semantics.
-[[nodiscard]] FloatMatrix gemm_bitacc_f32(const HalfMatrix& a, const HalfMatrix& bt,
-                                          const GenerationModel& model = GenerationModel{});
+[[nodiscard]] FloatMatrix gemm_bitacc_f32(const HalfMatrix& a, const HalfMatrix& bt);
 
 /// The idealized semantics: a chain of dot_f16(kIdealized) over k-chunks of
 /// 8 (one FP32 dot per chunk, rounded once to FP16; the last chunk may be
 /// shorter). The one matrix-level idealized loop: core::gemm_ref_tc is this
 /// function, and it lives here so error_curves() can use it below tc_core.
+///
+/// Both F16 references run each full 8x8 output tile's full k-chunks through
+/// dot_f16_block, which decodes every operand once per tile, and walk the k
+/// tail and the m and n edges one element at a time; the result is the
+/// per-element chain's, bit for bit.
 [[nodiscard]] HalfMatrix gemm_idealized_f16(const HalfMatrix& a, const HalfMatrix& bt);
 
 /// Double-precision oracle (exact products, double accumulation).
@@ -68,7 +72,6 @@ struct CurveOptions {
   // cases, burying the accumulate-width signal the curves exist to show.
   float lo = 0.0f;
   float hi = 1.0f;
-  GenerationModel model;
 };
 
 /// Sweeps k, drawing fresh deterministic inputs per point (seed + k).

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -575,6 +576,43 @@ TEST(CliContract, LateFailuresLeaveJsonAsItWas) {
     }
   }
   std::filesystem::remove(out);
+}
+
+TEST(CliContract, OutputsNamingOneFileAreRefused) {
+  // Two outputs of one command written to one file would replace each
+  // other. The command exits 1 naming both flags before it does any work,
+  // so the file is left as it was: absent, or byte-identical. A relative
+  // name and "./name", or "dir/name" and "dir/./name", name one file.
+  namespace fs = std::filesystem;
+  const std::string name = "tc_cli_one_file.json";
+  const fs::path here = fs::current_path() / name;  // the CLI inherits this directory
+  const fs::path tmp = fs::temp_directory_path() / name;
+  const std::string dotted = (fs::temp_directory_path() / "." / name).string();
+  const std::string perf = "perf --m 256 --n 256 --k 64 --profile --trace-out ";
+  const std::string tune = "tune --m 64 --n 64 --k 64 --budget 2 --cache ";
+  const std::string serve = "serve --requests 5 --budget 1 --cache ";
+  for (const auto& [args, file, second] :
+       {std::tuple{perf + name + " --json ./" + name, here, "--trace-out"},
+        std::tuple{perf + tmp.string() + " --json " + dotted, tmp, "--trace-out"},
+        std::tuple{tune + tmp.string() + " --json " + tmp.string(), tmp, "--cache"},
+        std::tuple{serve + dotted + " --json " + tmp.string(), tmp, "--cache"}}) {
+    for (const bool existed : {false, true}) {
+      fs::remove(file);
+      if (existed) std::ofstream(file) << "previous document\n";
+      std::string err;
+      EXPECT_EQ(run_cli_status(args, err), 1) << args;
+      EXPECT_NE(err.find("error: --json "), std::string::npos) << args << ": " << err;
+      EXPECT_NE(err.find(std::string(" and ") + second + " "), std::string::npos)
+          << args << ": " << err;
+      EXPECT_NE(err.find("name one file"), std::string::npos) << args << ": " << err;
+      if (existed) {
+        EXPECT_EQ(read_file(file), "previous document\n") << args;
+      } else {
+        EXPECT_FALSE(fs::exists(file)) << args;
+      }
+    }
+    fs::remove(file);
+  }
 }
 
 TEST(CliContract, JsonRefusesItsOwnStandardStreams) {

@@ -17,8 +17,9 @@
 //  3. Golden error-vs-shape curve fixtures plus the end-to-end proof that
 //     the functional executor in NumericsMode::kBitAccurate computes
 //     exactly numerics::gemm_bitacc_f16, independent of kernel config; FNV
-//     pins of the idealized reference; and bitwise agreement of every
-//     idealized caller on NaN-payload inputs.
+//     pins of both F16 references, a test-local copy of the per-element
+//     walk they ran before they were blocked, and bitwise agreement of
+//     every idealized caller on NaN-payload inputs.
 //
 // A differential oracle rides along: a test-local copy of the F16 step as
 // it was computed in a 320-bit accumulator at unit 2^-149, compared by raw
@@ -460,19 +461,149 @@ TEST(NumericsProperties, F32StepErrorBelowOneUlp) {
 // 3. Matrix level: idealized copy, golden curves, executor e2e.
 // ---------------------------------------------------------------------------
 
+/// rows x cols random values in [-2, 2] with specials mixed in: per element,
+/// about 1 in 256 a NaN (quiet or signaling, either sign, random payload),
+/// 1 in 256 an infinity, 1 in 8 a subnormal and 1 in 32 a signed zero.
+HalfMatrix special_laden(Rng& rng, std::size_t rows, std::size_t cols) {
+  HalfMatrix m(rows, cols);
+  m.randomize(rng, -2.0f, 2.0f);
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    const std::uint64_t r = rng.next_below(256);
+    const auto sign = static_cast<std::uint16_t>(rng.next_below(2) << 15);
+    if (r == 0) {
+      const auto quiet = static_cast<std::uint16_t>(rng.next_below(2) << 9);
+      const auto payload = static_cast<std::uint16_t>(1 + rng.next_below(0x1FF));
+      m.data()[i] = hb(static_cast<std::uint16_t>(sign | 0x7C00u | quiet | payload));
+    } else if (r == 1) {
+      m.data()[i] = hb(static_cast<std::uint16_t>(sign | 0x7C00u));
+    } else if (r < 34) {
+      m.data()[i] = hb(static_cast<std::uint16_t>(sign | (1 + rng.next_below(0x3FF))));
+    } else if (r < 42) {
+      m.data()[i] = hb(sign);
+    }
+  }
+  return m;
+}
+
 TEST(NumericsMatrix, IdealizedReferenceMatchesRecordedPins) {
-  // FNV-1a pins of core::gemm_ref_tc recorded while it was still its own
-  // hand-written loop, independent of numerics::dot_f16. k = 129 ends on a
+  // FNV-1a pins of both references. core::gemm_ref_tc's were recorded while
+  // it was still its own hand-written loop, independent of
+  // numerics::dot_f16; gemm_bitacc_f16's and the special-operand pair below
+  // while both still walked one output element at a time (dot_f16 per
+  // k-chunk of 8, fdp_step_f16 per 4-term step). k = 129 ends on a
   // one-product chunk.
+  struct Pin {
+    std::size_t k;
+    std::uint64_t idealized, bitacc;
+  };
   Rng rng(8001);
-  const std::pair<std::size_t, std::uint64_t> pins[] = {
-      {8, 0x601927C4B5BEF123ull}, {72, 0xB64188D1058E2A3Bull}, {129, 0x57BE208D2B055360ull}};
-  for (const auto& [k, pin] : pins) {
-    HalfMatrix a(48, k), bt(40, k);
+  const Pin pins[] = {{8, 0x601927C4B5BEF123ull, 0xB1EFE22E9B52F71Eull},
+                      {72, 0xB64188D1058E2A3Bull, 0x9C0357E72C1DFA34ull},
+                      {129, 0x57BE208D2B055360ull, 0x8A5174668680EAA6ull}};
+  for (const Pin& p : pins) {
+    HalfMatrix a(48, p.k), bt(40, p.k);
     a.randomize(rng, -2.0f, 2.0f);
     bt.randomize(rng, -2.0f, 2.0f);
-    EXPECT_EQ(testsupport::fnv1a_bits(core::gemm_ref_tc(a, bt)), pin) << "k=" << k;
+    EXPECT_EQ(testsupport::fnv1a_bits(core::gemm_ref_tc(a, bt)), p.idealized) << "k=" << p.k;
+    EXPECT_EQ(testsupport::fnv1a_bits(gemm_bitacc_f16(a, bt)), p.bitacc) << "k=" << p.k;
   }
+
+  // 64 x 64 x 64 with NaNs, infinities, subnormals and signed zeros in both
+  // operands. The idealized pin holds the NaN payloads the one compiled
+  // idealized_sum returns; the bit-accurate one, canonical NaNs.
+  Rng special(8003);
+  const HalfMatrix a = special_laden(special, 64, 64);
+  const HalfMatrix bt = special_laden(special, 64, 64);
+  const HalfMatrix bitacc = gemm_bitacc_f16(a, bt);
+  std::size_t nans = 0;
+  for (std::size_t i = 0; i < bitacc.size(); ++i) nans += bitacc.data()[i].is_nan() ? 1 : 0;
+  ASSERT_GT(nans, bitacc.size() / 8);
+  ASSERT_LT(nans, bitacc.size() * 7 / 8);
+  EXPECT_EQ(testsupport::fnv1a_bits(core::gemm_ref_tc(a, bt)), 0x6042BA7D9BE740DCull);
+  EXPECT_EQ(testsupport::fnv1a_bits(bitacc), 0xBDDC69B2879D7980ull);
+}
+
+/// The per-element walk both F16 references ran before they were blocked:
+/// from +0, dot_f16 over k-chunks of 8 for kIdealized and fdp_step_f16 over
+/// 4-term steps for kBitAccurate, the last chunk or step possibly shorter.
+HalfMatrix per_element_chain(NumericsMode mode, const HalfMatrix& a, const HalfMatrix& bt) {
+  const std::size_t k = a.cols();
+  const std::size_t width = mode == NumericsMode::kIdealized ? 8 : 4;
+  HalfMatrix c(a.rows(), bt.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < bt.rows(); ++j) {
+      const half* x = a.data() + i * k;
+      const half* y = bt.data() + j * k;
+      half acc(0.0f);
+      for (std::size_t l = 0; l < k; l += width) {
+        const int w = static_cast<int>(std::min(width, k - l));
+        acc = mode == NumericsMode::kIdealized ? dot_f16(mode, acc, x + l, y + l, w)
+                                               : fdp_step_f16(acc, x + l, y + l, w);
+      }
+      c.at(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+TEST(NumericsMatrix, BlockedReferencesMatchPerElementChains) {
+  // The F16 references run full 8x8 output tiles through dot_f16_block and
+  // walk the k tail and the m and n edges one element at a time. Shapes with
+  // every remainder mod 8, k = 0 and k = 1 among them, on plain and special
+  // operands, must give the per-element walk's raw bits, NaN payloads and
+  // zero signs included.
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {{1, 1, 0},   {9, 17, 0},  {13, 11, 1},  {8, 8, 7},   {16, 24, 8},
+                          {17, 23, 29}, {24, 8, 33}, {31, 18, 66}, {25, 9, 129}, {40, 48, 64}};
+  Rng rng(8004);
+  std::size_t outputs = 0;
+  for (const Shape& s : shapes) {
+    for (const bool special : {false, true}) {
+      HalfMatrix a(s.m, s.k), bt(s.n, s.k);
+      if (special) {
+        a = special_laden(rng, s.m, s.k);
+        bt = special_laden(rng, s.n, s.k);
+      } else {
+        a.randomize(rng, -2.0f, 2.0f);
+        bt.randomize(rng, -2.0f, 2.0f);
+      }
+      const HalfMatrix got[] = {gemm_idealized_f16(a, bt), gemm_bitacc_f16(a, bt)};
+      const NumericsMode modes[] = {NumericsMode::kIdealized, NumericsMode::kBitAccurate};
+      for (int mi = 0; mi < 2; ++mi) {
+        const HalfMatrix want = per_element_chain(modes[mi], a, bt);
+        ASSERT_EQ(got[mi].rows(), s.m);
+        ASSERT_EQ(got[mi].cols(), s.n);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(got[mi].data()[i].bits(), want.data()[i].bits())
+              << s.m << "x" << s.n << "x" << s.k << " special=" << special << " element " << i
+              << " mode " << numerics_mode_name(modes[mi]);
+        }
+        outputs += want.size();
+      }
+      if (s.k == 0) {
+        for (std::size_t i = 0; i < got[1].size(); ++i) EXPECT_EQ(got[1].data()[i].bits(), 0u);
+      }
+
+      // gemm_bitacc_f32 stays per element: dot_f32 over k-chunks of 8 is the
+      // same chain of 4-term fdp_step_f32 calls.
+      const FloatMatrix f32 = gemm_bitacc_f32(a, bt);
+      for (std::size_t i = 0; i < s.m; ++i) {
+        for (std::size_t j = 0; j < s.n; ++j) {
+          float acc = 0.0f;
+          for (std::size_t l = 0; l < s.k; l += 4) {
+            acc = fdp_step_f32(acc, a.data() + i * s.k + l, bt.data() + j * s.k + l,
+                               static_cast<int>(std::min<std::size_t>(4, s.k - l)));
+          }
+          ASSERT_EQ(f32_bits(f32.at(i, j)), f32_bits(acc))
+              << s.m << "x" << s.n << "x" << s.k << " special=" << special << " f32 (" << i
+              << ", " << j << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(outputs, 2u * 2u * (1 + 153 + 143 + 64 + 384 + 391 + 192 + 558 + 225 + 1920));
 }
 
 /// 64 x 64 random values with about one element in 128 replaced by a NaN:
